@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "anycast/world.h"
 #include "bgp/decision.h"
 #include "bgp/simulator.h"
@@ -166,6 +168,26 @@ void BM_OptimizerSubsetSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizerSubsetSearch)->Unit(benchmark::kMillisecond);
+
+/// Single-config score (the serve layer's `score` op) at Arg() sites: the
+/// provider subset's order choice plus one pass over every target.
+void BM_OptimizerEvaluate(benchmark::State& state) {
+  auto& pipe = pipeline();
+  const core::Optimizer optimizer(pipe.predictor());
+  std::vector<SiteId> sites =
+      anycast::AnycastConfig::all_sites(world().deployment()).announce_order;
+  Rng rng{0xE7A1};
+  rng.shuffle(sites);
+  sites.resize(std::min(sites.size(),
+                        static_cast<std::size_t>(state.range(0))));
+  anycast::AnycastConfig cfg;
+  cfg.announce_order = sites;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(optimizer.evaluate_uncached(cfg));
+  }
+}
+BENCHMARK(BM_OptimizerEvaluate)->Arg(3)->Arg(8)->Arg(15)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TotalOrderConstruction(benchmark::State& state) {
   auto& pipe = pipeline();

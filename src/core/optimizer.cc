@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <chrono>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "netbase/telemetry.h"
 
@@ -17,15 +21,71 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Largest provider the site columns cover: a provider with k sites has
+/// 2^k - 1 columns of one byte per target.
+constexpr std::size_t kMaxProviderSites = 8;
+
+/// One target's tournament among `n` items, split into what every
+/// announcement order shares (the strict pairs' out-degrees) and the
+/// order-dependent pairs an order orients.  `kind_of(a, b)` classifies the
+/// pair a < b.  Returns false when a pair is unknown or inconsistent: the
+/// target then has no total order under any announcement order.
+template <typename KindOf>
+bool split_tournament(
+    std::size_t n, KindOf kind_of, std::uint8_t* strict_degree,
+    std::vector<std::array<std::uint8_t, 2>>& order_dependent) {
+  std::fill_n(strict_degree, n, std::uint8_t{0});
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      switch (kind_of(a, b)) {
+        case PrefKind::kStrictFirst: ++strict_degree[a]; break;
+        case PrefKind::kStrictSecond: ++strict_degree[b]; break;
+        case PrefKind::kOrderDependent:
+          order_dependent.push_back(
+              {static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b)});
+          break;
+        default: return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Out-degrees under one announcement order: `first_wins(a, b)` orients
+/// each order-dependent pair.  Returns whether they are distinct — the
+/// tournament is then transitive, a total order ranked by descending
+/// out-degree.
+template <typename FirstWins>
+bool orient(std::size_t n, const std::uint8_t* strict_degree,
+            std::span<const std::array<std::uint8_t, 2>> order_dependent,
+            FirstWins first_wins, std::array<std::uint8_t, 32>& degree) {
+  std::copy_n(strict_degree, n, degree.begin());
+  for (const auto& [a, b] : order_dependent) {
+    ++degree[first_wins(a, b) ? a : b];
+  }
+  std::uint32_t seen = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (seen >> degree[i] & 1) return false;
+    seen |= std::uint32_t{1} << degree[i];
+  }
+  return true;
+}
+
+template <typename T>
+std::size_t heap_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 }  // namespace
 
 Optimizer::Optimizer(const Predictor& predictor, OptimizerOptions options)
-    : predictor_(predictor), options_(options) {
+    : predictor_(predictor), options_(std::move(options)) {
   const auto& deployment = predictor_.deployment();
   const auto& discovery = predictor_.discovery();
+  const auto& rtts = predictor_.rtts();
   const std::size_t sites = deployment.site_count();
   const std::size_t providers = deployment.provider_count();
-  const std::size_t targets = discovery.provider_prefs.target_count;
+  targets_ = discovery.provider_prefs.target_count;
   if (sites > 31) {
     throw std::invalid_argument(
         "Optimizer enumerates site bitmasks; deployments beyond 31 sites "
@@ -33,65 +93,118 @@ Optimizer::Optimizer(const Predictor& predictor, OptimizerOptions options)
   }
 
   provider_of_site_.resize(sites);
-  provider_site_mask_.assign(providers, 0);
   for (std::size_t s = 0; s < sites; ++s) {
-    const std::size_t p =
+    provider_of_site_[s] = static_cast<std::uint8_t>(
         deployment.site(SiteId{static_cast<SiteId::underlying_type>(s)})
-            .provider.value();
-    provider_of_site_[s] = p;
-    provider_site_mask_[p] |= std::uint32_t{1} << s;
+            .provider.value());
   }
 
-  // Per-target site-level preference rankings within each provider.
-  site_ranking_.assign(targets, {});
-  for (std::size_t t = 0; t < targets; ++t) {
-    site_ranking_[t].resize(providers);
-    for (std::size_t p = 0; p < providers; ++p) {
-      const auto& provider_sites = discovery.provider_sites[p];
-      auto& ranking = site_ranking_[t][p];
-      if (provider_sites.size() == 1) {
-        ranking.push_back(
-            static_cast<std::uint8_t>(provider_sites[0].value()));
-        continue;
-      }
-      if (predictor_.mode() == SitePrefMode::kRttRanking) {
-        std::vector<std::pair<double, std::uint8_t>> by_rtt;
+  // Provider-level patterns: targets that classify every provider pair
+  // alike get the same order count and winner in every provider subset.
+  const PairwiseTable& provider_prefs = discovery.provider_prefs;
+  const std::size_t pairs = pair_count(provider_prefs.item_count);
+  std::vector<PrefKind> by_target(targets_ * pairs);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    for (std::size_t t = 0; t < targets_; ++t) {
+      by_target[t * pairs + k] = provider_prefs.outcome[k][t];
+    }
+  }
+  std::unordered_map<std::string_view, std::uint32_t> pattern_ids;
+  pattern_of_target_.resize(targets_);
+  for (std::size_t t = 0; t < targets_; ++t) {
+    const PrefKind* pattern = by_target.data() + t * pairs;
+    const auto [it, fresh] = pattern_ids.try_emplace(
+        std::string_view(reinterpret_cast<const char*>(pattern), pairs),
+        static_cast<std::uint32_t>(pattern_ids.size()));
+    if (fresh) {
+      patterns_.insert(patterns_.end(), pattern, pattern + pairs);
+      pattern_targets_.push_back(0);
+    }
+    pattern_of_target_[t] = it->second;
+    ++pattern_targets_[it->second];
+  }
+
+  // Site columns: per provider and non-empty subset of its sites, each
+  // target's first enabled site in its site-level preference order.
+  local_bit_of_site_.assign(sites, 0);
+  column_base_.resize(providers);
+  std::size_t columns = 0;
+  for (std::size_t p = 0; p < providers; ++p) {
+    const auto& provider_sites = discovery.provider_sites[p];
+    if (provider_sites.size() > kMaxProviderSites) {
+      throw std::invalid_argument(
+          "Optimizer keeps one site column per subset of a provider's "
+          "sites; providers beyond 8 sites should use the SPLPO heuristics");
+    }
+    for (std::size_t i = 0; i < provider_sites.size(); ++i) {
+      local_bit_of_site_[provider_sites[i].value()] = std::uint32_t{1} << i;
+    }
+    column_base_[p] = columns;
+    columns += (std::size_t{1} << provider_sites.size()) - 1;
+  }
+  site_columns_.assign(columns * targets_, kNoChoice);
+
+  std::array<std::uint8_t, 32> ranking{};  // site ids, most preferred first
+  std::array<std::uint8_t, 32> strict{};
+  std::array<std::uint8_t, 32> degree{};
+  std::vector<std::array<std::uint8_t, 2>> order_dependent;
+  std::vector<std::pair<double, std::uint8_t>> by_rtt;
+  for (std::size_t p = 0; p < providers; ++p) {
+    const auto& provider_sites = discovery.provider_sites[p];
+    const std::size_t k = provider_sites.size();
+    const PairwiseTable& site_prefs = discovery.site_prefs[p];
+    for (std::size_t t = 0; t < targets_; ++t) {
+      std::size_t ranked = 0;
+      if (k == 1) {
+        ranking[ranked++] =
+            static_cast<std::uint8_t>(provider_sites[0].value());
+      } else if (predictor_.mode() == SitePrefMode::kRttRanking) {
+        by_rtt.clear();
         for (const SiteId s : provider_sites) {
-          const double r = predictor_.rtts().rtt(
+          const double r = rtts.rtt(
               s, TargetId{static_cast<TargetId::underlying_type>(t)});
           if (r >= 0) {
             by_rtt.push_back({r, static_cast<std::uint8_t>(s.value())});
           }
         }
         std::sort(by_rtt.begin(), by_rtt.end());
-        for (const auto& [r, s] : by_rtt) ranking.push_back(s);
-        continue;
+        for (const auto& [r, s] : by_rtt) ranking[ranked++] = s;
+      } else {
+        order_dependent.clear();
+        const auto kind_of = [&](std::size_t a, std::size_t b) {
+          return site_prefs.get(a, b, t);
+        };
+        // Equal arrival ranks: the later site wins an order-dependent
+        // pair, as in target_total_order.
+        const auto later_wins = [](std::size_t, std::size_t) { return false; };
+        if (split_tournament(k, kind_of, strict.data(), order_dependent) &&
+            orient(k, strict.data(), order_dependent, later_wins, degree)) {
+          for (std::size_t i = 0; i < k; ++i) {
+            ranking[k - 1 - degree[i]] =
+                static_cast<std::uint8_t>(provider_sites[i].value());
+          }
+          ranked = k;
+        }
       }
-      // Experimental mode: full total order over the provider's sites;
-      // empty ranking = inconsistent (target excluded if this provider
-      // wins).
-      std::vector<std::size_t> all_pos(provider_sites.size());
-      for (std::size_t i = 0; i < all_pos.size(); ++i) all_pos[i] = i;
-      const std::vector<std::size_t> zero_rank(provider_sites.size(), 0);
-      const auto order = target_total_order(discovery.site_prefs[p], t,
-                                            all_pos, zero_rank);
-      if (order.has_value()) {
-        for (const std::size_t local : *order) {
-          ranking.push_back(
-              static_cast<std::uint8_t>(provider_sites[local].value()));
+      // An unranked target (inconsistent site-level preferences, or no
+      // measured RTT) keeps kNoChoice: it is imputed if this provider wins.
+      for (std::uint32_t sub = 1; sub < (std::uint32_t{1} << k); ++sub) {
+        for (std::size_t i = 0; i < ranked; ++i) {
+          if (sub & local_bit_of_site_[ranking[i]]) {
+            site_columns_[(column_base_[p] + sub - 1) * targets_ + t] =
+                ranking[i];
+            break;
+          }
         }
       }
     }
   }
-  subset_cache_.resize(std::size_t{1} << providers);
 }
 
-Optimizer::ProviderSubsetCache Optimizer::build_cache(
+Optimizer::SubsetTable Optimizer::build_subset(
     std::size_t provider_mask) const {
-  ProviderSubsetCache cache;
-
-  const auto& table = predictor_.discovery().provider_prefs;
-  const std::size_t targets = table.target_count;
+  const std::size_t items = predictor_.discovery().provider_prefs.item_count;
+  const std::size_t pairs = pair_count(items);
   std::vector<std::size_t> providers;
   for (std::size_t p = 0; provider_mask >> p; ++p) {
     if (provider_mask >> p & 1) providers.push_back(p);
@@ -118,111 +231,104 @@ Optimizer::ProviderSubsetCache Optimizer::build_cache(
     candidates.push_back(perm);
   }
 
-  // Evaluate candidates: count targets whose tournament is transitive.
-  std::vector<std::size_t> arrival(predictor_.deployment().provider_count(),
-                                   0);
-  std::vector<std::size_t> best_perm_arrival;
+  // Each pattern's strict out-degrees and order-dependent member pairs.
+  // A pattern with an unknown or inconsistent member pair has no total
+  // order under any candidate and is left out.
+  std::vector<std::uint32_t> usable;
+  std::vector<std::uint8_t> strict;  // n per usable pattern
+  std::vector<std::array<std::uint8_t, 2>> order_dependent;
+  std::vector<std::size_t> order_dependent_end;  // per usable pattern
+  std::array<std::uint8_t, 32> split{};
+  for (std::size_t k = 0; k < pattern_targets_.size(); ++k) {
+    const PrefKind* kinds = patterns_.data() + k * pairs;
+    const auto kind_of = [&](std::size_t a, std::size_t b) {
+      return kinds[pair_index(providers[a], providers[b], items)];
+    };
+    const std::size_t begin = order_dependent.size();
+    if (split_tournament(n, kind_of, split.data(), order_dependent)) {
+      usable.push_back(static_cast<std::uint32_t>(k));
+      strict.insert(strict.end(), split.begin(), split.begin() + n);
+      order_dependent_end.push_back(order_dependent.size());
+    } else {
+      order_dependent.resize(begin);
+    }
+  }
+  std::vector<std::size_t> arrival(items, 0);
+  std::array<std::uint8_t, 32> degree{};
+  const auto ordered = [&](std::size_t u) {
+    const std::size_t begin = u == 0 ? 0 : order_dependent_end[u - 1];
+    return orient(
+        n, strict.data() + u * n,
+        std::span(order_dependent)
+            .subspan(begin, order_dependent_end[u] - begin),
+        [&](std::size_t a, std::size_t b) {
+          return arrival[providers[a]] < arrival[providers[b]];
+        },
+        degree);
+  };
+  const auto arrive_in = [&](const std::vector<std::size_t>& order) {
+    for (std::size_t i = 0; i < order.size(); ++i) arrival[order[i]] = i;
+  };
+
+  // Pick the candidate under which the most targets have a total order.
+  // Only a strictly larger count replaces the incumbent, so a repeated
+  // candidate can never win and is not scored again.
+  std::size_t best = 0;
   std::size_t best_count = 0;
-  bool first = true;
-  std::vector<std::size_t> out_degree(n);
-  for (const auto& candidate : candidates) {
-    for (std::size_t i = 0; i < candidate.size(); ++i) {
-      arrival[candidate[i]] = i;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    if (std::find(candidates.begin(), candidates.begin() + c,
+                  candidates[c]) != candidates.begin() + c) {
+      continue;
     }
+    arrive_in(candidates[c]);
     std::size_t count = 0;
-    for (std::size_t t = 0; t < targets; ++t) {
-      std::fill(out_degree.begin(), out_degree.end(), 0);
-      bool usable = true;
-      for (std::size_t a = 0; a < n && usable; ++a) {
-        for (std::size_t b = a + 1; b < n && usable; ++b) {
-          switch (table.get(providers[a], providers[b], t)) {
-            case PrefKind::kStrictFirst: ++out_degree[a]; break;
-            case PrefKind::kStrictSecond: ++out_degree[b]; break;
-            case PrefKind::kOrderDependent:
-              ++out_degree[arrival[providers[a]] < arrival[providers[b]] ? a
-                                                                         : b];
-              break;
-            default: usable = false; break;
-          }
-        }
-      }
-      if (!usable) continue;
-      std::uint32_t seen = 0;
-      bool distinct = true;
-      for (const std::size_t d : out_degree) {
-        if (seen >> d & 1) {
-          distinct = false;
-          break;
-        }
-        seen |= std::uint32_t{1} << d;
-      }
-      if (distinct) ++count;
+    for (std::size_t u = 0; u < usable.size(); ++u) {
+      if (ordered(u)) count += pattern_targets_[usable[u]];
     }
-    if (first || count > best_count) {
-      first = false;
+    if (c == 0 || count > best_count) {
+      best = c;
       best_count = count;
-      best_perm_arrival.assign(arrival.begin(), arrival.end());
     }
   }
 
-  cache.providers = providers;
-  cache.arrival_rank = best_perm_arrival;
-  cache.fraction_ordered =
-      targets ? static_cast<double>(best_count) / static_cast<double>(targets)
-              : 0;
-
-  // Fill the per-target winner-first provider ranking under the chosen
-  // order.
-  cache.ranking.assign(targets, {});
-  for (std::size_t t = 0; t < targets; ++t) {
-    std::fill(out_degree.begin(), out_degree.end(), 0);
-    bool usable = true;
-    for (std::size_t a = 0; a < n && usable; ++a) {
-      for (std::size_t b = a + 1; b < n && usable; ++b) {
-        switch (table.get(providers[a], providers[b], t)) {
-          case PrefKind::kStrictFirst: ++out_degree[a]; break;
-          case PrefKind::kStrictSecond: ++out_degree[b]; break;
-          case PrefKind::kOrderDependent:
-            ++out_degree[cache.arrival_rank[providers[a]] <
-                                 cache.arrival_rank[providers[b]]
-                             ? a
-                             : b];
-            break;
-          default: usable = false; break;
-        }
-      }
-    }
-    if (!usable) continue;
-    std::uint32_t seen = 0;
-    bool distinct = true;
-    for (const std::size_t d : out_degree) {
-      if (d >= n || (seen >> d & 1)) {
-        distinct = false;
-        break;
-      }
-      seen |= std::uint32_t{1} << d;
-    }
-    if (!distinct) continue;
-    auto& ranking = cache.ranking[t];
-    ranking.resize(n);
+  // Each pattern's most preferred provider under the chosen order, then
+  // each target's.
+  SubsetTable table;
+  table.order = std::move(candidates[best]);
+  arrive_in(table.order);
+  std::vector<std::uint8_t> pattern_winner(pattern_targets_.size(),
+                                           kNoChoice);
+  for (std::size_t u = 0; u < usable.size(); ++u) {
+    if (!ordered(u)) continue;
     for (std::size_t i = 0; i < n; ++i) {
-      ranking[n - 1 - out_degree[i]] = static_cast<std::uint8_t>(providers[i]);
+      if (degree[i] == n - 1) {
+        pattern_winner[usable[u]] = static_cast<std::uint8_t>(providers[i]);
+      }
     }
   }
-  cache.ready = true;
-  return cache;
-}
-
-void Optimizer::ensure_cache(std::size_t provider_mask) const {
-  ProviderSubsetCache& cache = subset_cache_[provider_mask];
-  if (cache.ready) return;
-  cache = build_cache(provider_mask);
+  table.winner.resize(targets_);
+  for (std::size_t t = 0; t < targets_; ++t) {
+    table.winner[t] = pattern_winner[pattern_of_target_[t]];
+  }
+  return table;
 }
 
 Optimizer::MaskScore Optimizer::score_mask(
-    std::uint32_t site_mask, const ProviderSubsetCache& cache,
-    const std::vector<std::uint32_t>& sample) const {
+    std::uint32_t site_mask, const SubsetTable& table,
+    std::span<const std::uint32_t> targets) const {
   const auto& rtts = predictor_.rtts();
+  // Each member provider's column for its enabled sites.
+  std::array<std::uint32_t, 32> local{};
+  for (std::uint32_t m = site_mask; m != 0; m &= m - 1) {
+    const int s = __builtin_ctz(m);
+    local[provider_of_site_[s]] |= local_bit_of_site_[s];
+  }
+  std::array<const std::uint8_t*, 32> column{};
+  for (const std::size_t p : table.order) {
+    column[p] =
+        site_columns_.data() + (column_base_[p] + local[p] - 1) * targets_;
+  }
+
   double predictable_sum = 0;
   double predictable_weight = 0;
   double imputed_sum = 0;
@@ -251,24 +357,14 @@ Optimizer::MaskScore Optimizer::score_mask(
     return n ? sum / static_cast<double>(n) : -1.0;
   };
 
-  for (const std::uint32_t t : sample) {
+  for (const std::uint32_t t : targets) {
     const double w = weighted ? options_.target_weight[t] : 1.0;
-    const auto& ranking = cache.ranking[t];
-    SiteId site;
-    if (!ranking.empty()) {
-      const std::size_t p = ranking.front();
-      // First enabled site in this target's site-level preference order.
-      for (const std::uint8_t s : site_ranking_[t][p]) {
-        if (site_mask >> s & 1) {
-          site = SiteId{s};
-          break;
-        }
-      }
-    }
-    if (site.valid()) {
+    const std::uint8_t p = table.winner[t];
+    const std::uint8_t s = p == kNoChoice ? kNoChoice : column[p][t];
+    if (s != kNoChoice) {
       ++predictable;
-      if (capacitated) load[site.value()] += w;
-      const double r = rtts.rtt(site, TargetId{t});
+      if (capacitated) load[s] += w;
+      const double r = rtts.rtt(SiteId{s}, TargetId{t});
       if (r >= 0) {
         predictable_sum += w * r;
         predictable_weight += w;
@@ -284,10 +380,10 @@ Optimizer::MaskScore Optimizer::score_mask(
     }
   }
   MaskScore score;
-  score.fraction_ordered = sample.empty()
+  score.fraction_ordered = targets.empty()
                                ? 0
                                : static_cast<double>(predictable) /
-                                     static_cast<double>(sample.size());
+                                     static_cast<double>(targets.size());
   if (capacitated) {
     // Appendix-B Eq. 7: discard configurations whose predicted catchment
     // overloads any enabled site.  Strictly greater, never a ratio: load
@@ -313,25 +409,22 @@ Optimizer::MaskScore Optimizer::score_mask(
 SearchOutcome Optimizer::search() const {
   const auto t0 = Clock::now();
   const std::size_t sites = predictor_.deployment().site_count();
-  const std::size_t targets =
-      predictor_.discovery().provider_prefs.target_count;
 
-  std::vector<std::uint32_t> sample;
-  if (options_.target_sample > 0 && options_.target_sample < targets) {
+  std::vector<std::uint32_t> sample(targets_);
+  std::iota(sample.begin(), sample.end(), 0u);
+  if (options_.target_sample > 0 && options_.target_sample < targets_) {
     Rng rng{options_.seed ^ 0xA53EDULL};
-    sample.resize(targets);
-    for (std::uint32_t t = 0; t < targets; ++t) sample[t] = t;
     rng.shuffle(sample);
     sample.resize(options_.target_sample);
-  } else {
-    sample.resize(targets);
-    for (std::uint32_t t = 0; t < targets; ++t) sample[t] = t;
   }
 
   SearchOutcome outcome;
   outcome.best_per_size.resize(sites + 1);
   outcome.exhausted = true;
 
+  // Provider-subset tables, built on first use.
+  std::vector<std::optional<SubsetTable>> tables(
+      std::size_t{1} << predictor_.deployment().provider_count());
   const std::uint32_t limit = std::uint32_t{1} << sites;
   for (std::uint32_t mask = 1; mask < limit; ++mask) {
     const auto size = static_cast<std::size_t>(__builtin_popcount(mask));
@@ -346,9 +439,9 @@ SearchOutcome Optimizer::search() const {
       provider_mask |= std::size_t{1}
                        << provider_of_site_[__builtin_ctz(m)];
     }
-    ensure_cache(provider_mask);
-    const ProviderSubsetCache& cache = subset_cache_[provider_mask];
-    const MaskScore score = score_mask(mask, cache, sample);
+    std::optional<SubsetTable>& table = tables[provider_mask];
+    if (!table) table = build_subset(provider_mask);
+    const MaskScore score = score_mask(mask, *table, sample);
     ++outcome.configurations_evaluated;
 
     auto& slot = outcome.best_per_size[size];
@@ -358,13 +451,8 @@ SearchOutcome Optimizer::search() const {
       slot.fraction_ordered = score.fraction_ordered;
       // Materialize the announcement order: providers in chosen arrival
       // order, each provider's enabled sites in site-id order.
-      std::vector<std::pair<std::size_t, std::size_t>> by_arrival;
-      for (const std::size_t p : cache.providers) {
-        by_arrival.push_back({cache.arrival_rank[p], p});
-      }
-      std::sort(by_arrival.begin(), by_arrival.end());
       anycast::AnycastConfig cfg;
-      for (const auto& [rank, p] : by_arrival) {
+      for (const std::size_t p : table->order) {
         for (std::size_t s = 0; s < sites; ++s) {
           if ((mask >> s & 1) && provider_of_site_[s] == p) {
             cfg.announce_order.push_back(
@@ -378,12 +466,10 @@ SearchOutcome Optimizer::search() const {
 
   // Re-score the per-size winners on the full target set (if sampled) and
   // pick the global best.
-  std::vector<std::uint32_t> full(targets);
-  for (std::uint32_t t = 0; t < targets; ++t) full[t] = t;
   for (auto& slot : outcome.best_per_size) {
     if (slot.config.announce_order.empty()) continue;
-    if (sample.size() != full.size()) {
-      const EvaluatedConfig rescored = evaluate(slot.config);
+    if (sample.size() != targets_) {
+      const EvaluatedConfig rescored = evaluate_uncached(slot.config);
       slot.predicted_mean_rtt = rescored.predicted_mean_rtt;
       slot.predictable_mean_rtt = rescored.predictable_mean_rtt;
       slot.fraction_ordered = rescored.fraction_ordered;
@@ -401,61 +487,31 @@ SearchOutcome Optimizer::search() const {
   return outcome;
 }
 
-EvaluatedConfig Optimizer::evaluate(
+EvaluatedConfig Optimizer::evaluate_uncached(
     const anycast::AnycastConfig& config) const {
-  const std::size_t targets =
-      predictor_.discovery().provider_prefs.target_count;
-  // Provider arrival ranks implied by the config's own announce order.
   std::size_t provider_mask = 0;
-  for (const SiteId s : config.announce_order) {
-    provider_mask |= std::size_t{1} << provider_of_site_[s.value()];
-  }
-  // Note: evaluate() honours the *cached* (optimizer-chosen) order for the
-  // provider subset, matching search(); use Predictor::predict for a
-  // config-order-faithful prediction.
-  ensure_cache(provider_mask);
   std::uint32_t site_mask = 0;
   for (const SiteId s : config.announce_order) {
+    provider_mask |= std::size_t{1} << provider_of_site_[s.value()];
     site_mask |= std::uint32_t{1} << s.value();
   }
-  std::vector<std::uint32_t> full(targets);
-  for (std::uint32_t t = 0; t < targets; ++t) full[t] = t;
+  std::vector<std::uint32_t> all(targets_);
+  std::iota(all.begin(), all.end(), 0u);
   EvaluatedConfig out;
   out.config = config;
   const MaskScore score =
-      score_mask(site_mask, subset_cache_[provider_mask], full);
+      score_mask(site_mask, build_subset(provider_mask), all);
   out.predicted_mean_rtt = score.imputed_mean;
   out.predictable_mean_rtt = score.predictable_mean;
   out.fraction_ordered = score.fraction_ordered;
   return out;
 }
 
-EvaluatedConfig Optimizer::evaluate_uncached(
-    const anycast::AnycastConfig& config) const {
-  const std::size_t targets =
-      predictor_.discovery().provider_prefs.target_count;
-  std::size_t provider_mask = 0;
-  for (const SiteId s : config.announce_order) {
-    provider_mask |= std::size_t{1} << provider_of_site_[s.value()];
-  }
-  // Pure query path: the subset cache is built into a local and discarded,
-  // so this method never mutates `subset_cache_` — concurrent callers on
-  // one const Optimizer are safe (the serve layer's contract).  Scores are
-  // bit-identical to `evaluate` (same build, same scoring).
-  const ProviderSubsetCache cache = build_cache(provider_mask);
-  std::uint32_t site_mask = 0;
-  for (const SiteId s : config.announce_order) {
-    site_mask |= std::uint32_t{1} << s.value();
-  }
-  std::vector<std::uint32_t> full(targets);
-  for (std::uint32_t t = 0; t < targets; ++t) full[t] = t;
-  EvaluatedConfig out;
-  out.config = config;
-  const MaskScore score = score_mask(site_mask, cache, full);
-  out.predicted_mean_rtt = score.imputed_mean;
-  out.predictable_mean_rtt = score.predictable_mean;
-  out.fraction_ordered = score.fraction_ordered;
-  return out;
+std::size_t Optimizer::retained_bytes() const {
+  return heap_bytes(provider_of_site_) + heap_bytes(local_bit_of_site_) +
+         heap_bytes(pattern_of_target_) + heap_bytes(pattern_targets_) +
+         heap_bytes(patterns_) + heap_bytes(column_base_) +
+         heap_bytes(site_columns_);
 }
 
 anycast::AnycastConfig Optimizer::greedy_unicast(const RttMatrix& rtts,

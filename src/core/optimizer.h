@@ -11,6 +11,8 @@
 // random provider/site picks.
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "anycast/config.h"
@@ -24,8 +26,9 @@ struct OptimizerOptions {
   std::size_t min_sites = 1;  ///< smallest enabled-site count examined
   /// Largest enabled-site count examined.
   std::size_t max_sites = std::numeric_limits<std::size_t>::max();
-  /// Wall-clock bound for the search (the paper used six hours; seconds
-  /// suffice here because evaluation is cached and vectorized).
+  /// Wall-clock bound for the search, checked once every 4096 site masks
+  /// (the paper used six hours; the exhaustive 15-site search takes about
+  /// 1.5 s at paper scale on one core).
   double time_budget_s = 60.0;
   /// Candidate announcement orders examined per provider subset when
   /// maximizing the consistent-client fraction.
@@ -78,39 +81,45 @@ struct SearchOutcome {
 };
 
 /// \brief The offline configuration search of §5.3.
+///
+/// The constructor builds flat, immutable tables: each target's
+/// provider-level preference pattern and, per provider and non-empty
+/// subset of its sites, a column of each target's preferred site.  RTTs
+/// are read from the predictor's matrix.  A provider subset's announcement
+/// order and per-target winning provider are built into a local by each
+/// call, so every method is a pure read: any number of threads may call
+/// `search` and `evaluate_uncached` concurrently on one Optimizer.
 class Optimizer {
  public:
   /// \brief Builds the optimizer over a predictor.
   /// \param predictor the offline predictor (must outlive this).
   /// \param options search-space parameters; see `OptimizerOptions`.
+  /// \throws std::invalid_argument for more than 31 sites, or a provider
+  ///         with more than 8 sites (one site column per subset of them).
   Optimizer(const Predictor& predictor, OptimizerOptions options = {});
 
-  /// \brief Full subset search under the time budget.
+  /// \brief Full subset search under the time budget: site masks in
+  ///        ascending order, each size's first minimum kept.
   /// \return the best configurations found plus the search trace.
   [[nodiscard]] SearchOutcome search() const;
 
-  /// \brief Fast predicted evaluation of one configuration using the
-  ///        caches (same result as Predictor::predict but O(targets)).
+  /// \brief Scores one configuration exactly as `search` scores it, on
+  ///        every target (the serve layer's `score` op).
   ///
-  /// NOT safe for concurrent callers: the first evaluation of a provider
-  /// subset fills the mutable `subset_cache_` slot.  Concurrent query
-  /// workloads use `evaluate_uncached`.
-  /// \param config the configuration to score.
-  /// \return its predicted means and ordered fraction.
-  [[nodiscard]] EvaluatedConfig evaluate(
-      const anycast::AnycastConfig& config) const;
-
-  /// \brief Pure (cache-free) evaluation of one configuration — the
-  ///        serve-layer query entry point.  Bit-identical scores to
-  ///        `evaluate`, but the provider-subset precomputation is built
-  ///        into a local and discarded, so this method mutates nothing and
-  ///        any number of threads may call it concurrently on one const
-  ///        Optimizer.  Costs the subset precomputation on every call;
-  ///        batch searches should keep using `evaluate`/`search`.
+  /// Uses the announcement order the search chooses for the config's
+  /// provider subset, not the config's own order; Predictor::predict gives
+  /// a config-order-faithful prediction.  Builds the provider subset's
+  /// table into a local ("uncached"): it costs that subset's order choice
+  /// plus one pass over the targets, and mutates nothing.
   /// \param config the configuration to score.
   /// \return its predicted means and ordered fraction.
   [[nodiscard]] EvaluatedConfig evaluate_uncached(
       const anycast::AnycastConfig& config) const;
+
+  /// \brief Bytes the constructor's tables retain (feeds the serve
+  ///        layer's `bytes.snapshot` gauge).
+  /// \return the tables' heap bytes.
+  [[nodiscard]] std::size_t retained_bytes() const;
 
   /// \brief Baseline: the k sites with the lowest mean unicast RTT,
   ///        announced in that order (the "12-Greedy" line of Fig. 6).
@@ -132,14 +141,16 @@ class Optimizer {
       std::size_t sites_per_provider, Rng& rng);
 
  private:
-  struct ProviderSubsetCache {
-    bool ready = false;
-    std::vector<std::size_t> providers;      ///< member provider slots
-    std::vector<std::size_t> arrival_rank;   ///< chosen order (per slot)
-    double fraction_ordered = 0;
-    /// Per target: providers in preference order (provider slot values),
-    /// empty = unpredictable at provider level.
-    std::vector<std::vector<std::uint8_t>> ranking;
+  /// Marks "no provider/site": the target has no total order there.
+  static constexpr std::uint8_t kNoChoice = 0xFF;
+
+  /// One provider subset's precomputation.
+  struct SubsetTable {
+    /// Member provider slots in the chosen announcement order.
+    std::vector<std::size_t> order;
+    /// Per target: the provider slot it prefers under that order, or
+    /// kNoChoice when its provider-level tournament is not a total order.
+    std::vector<std::uint8_t> winner;
   };
 
   struct MaskScore {
@@ -147,26 +158,35 @@ class Optimizer {
     double predictable_mean = std::numeric_limits<double>::infinity();
     double fraction_ordered = 0;
   };
-  /// Builds one provider subset's precomputation (order choice + per-target
-  /// ranking) without touching `subset_cache_` — the pure core shared by
-  /// `ensure_cache` and `evaluate_uncached`.
-  [[nodiscard]] ProviderSubsetCache build_cache(std::size_t provider_mask) const;
-  void ensure_cache(std::size_t provider_mask) const;
+
+  /// Chooses the subset's announcement order (the candidate with the most
+  /// totally ordered targets) and each target's winning provider under it.
+  [[nodiscard]] SubsetTable build_subset(std::size_t provider_mask) const;
+  /// The one scoring body of `search` and `evaluate_uncached`: sums each
+  /// target's contribution in the order of `targets`.
   [[nodiscard]] MaskScore score_mask(
-      std::uint32_t site_mask, const ProviderSubsetCache& cache,
-      const std::vector<std::uint32_t>& sample) const;
+      std::uint32_t site_mask, const SubsetTable& table,
+      std::span<const std::uint32_t> targets) const;
 
   const Predictor& predictor_;
   OptimizerOptions options_;
+  std::size_t targets_ = 0;
 
   // Immutable precomputation.
-  std::vector<std::size_t> provider_of_site_;
-  std::vector<std::uint32_t> provider_site_mask_;  ///< per provider slot
-  /// Per target, per provider: the provider's sites (local positions in
-  /// deployment site-id space) in that target's preference order; empty =
-  /// inconsistent site-level prefs.
-  std::vector<std::vector<std::vector<std::uint8_t>>> site_ranking_;
-  mutable std::vector<ProviderSubsetCache> subset_cache_;
+  std::vector<std::uint8_t> provider_of_site_;
+  /// Per site: its bit in its provider's local site-subset index.
+  std::vector<std::uint32_t> local_bit_of_site_;
+  /// Per target: the id of its provider-level preference pattern.
+  std::vector<std::uint32_t> pattern_of_target_;
+  /// Per pattern: how many targets share it.
+  std::vector<std::uint32_t> pattern_targets_;
+  /// Per pattern: the provider-pair classifications, in `pair_index` order.
+  std::vector<PrefKind> patterns_;
+  /// Per provider: the column index of its local site subset 1.
+  std::vector<std::size_t> column_base_;
+  /// Column-major [column][target]: the target's preferred site (id) among
+  /// the column's site subset, or kNoChoice.
+  std::vector<std::uint8_t> site_columns_;
 };
 
 }  // namespace anyopt::core

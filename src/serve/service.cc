@@ -170,8 +170,8 @@ std::string execute_predict(const Snapshot& snapshot,
 std::string execute_score(const Snapshot& snapshot, const Request& request) {
   Result<anycast::AnycastConfig> config = config_of(snapshot, request);
   if (!config.ok()) return render_error(config.error().message);
-  // evaluate_uncached: bit-identical to Optimizer::evaluate but mutates
-  // nothing, so concurrent queries need no locking (core/optimizer.h).
+  // evaluate_uncached mutates nothing, so concurrent queries need no
+  // locking (core/optimizer.h).
   const core::EvaluatedConfig scored =
       snapshot.optimizer().evaluate_uncached(config.value());
   std::string out;

@@ -12,9 +12,10 @@ namespace anyopt::serve {
 namespace {
 
 /// Retained-bytes estimate of the query-path data: the two-level preference
-/// tables plus the RTT matrix (the optimizer's per-target rankings are
-/// derived from the same tables and of the same order).
-std::size_t estimate_bytes(const core::Predictor& predictor) {
+/// tables, the RTT matrix and the optimizer's flat tables.  The world is
+/// not counted.
+std::size_t estimate_bytes(const core::Predictor& predictor,
+                           const core::Optimizer& optimizer) {
   const core::DiscoveryResult& discovery = predictor.discovery();
   std::size_t bytes = discovery.provider_prefs.retained_bytes();
   for (const core::PairwiseTable& table : discovery.site_prefs) {
@@ -25,6 +26,7 @@ std::size_t estimate_bytes(const core::Predictor& predictor) {
   }
   bytes += predictor.rtts().site_count() * predictor.rtts().target_count() *
            sizeof(double);
+  bytes += optimizer.retained_bytes();
   return bytes;
 }
 
@@ -103,7 +105,8 @@ Result<std::shared_ptr<Snapshot>> Snapshot::build(
     }
   }
 
-  snapshot->retained_bytes_ = estimate_bytes(*snapshot->predictor_);
+  snapshot->retained_bytes_ =
+      estimate_bytes(*snapshot->predictor_, *snapshot->optimizer_);
   if (telemetry::enabled()) {
     telemetry::Registry::global()
         .gauge("bytes.snapshot")

@@ -83,8 +83,8 @@ class Snapshot {
   [[nodiscard]] const core::Predictor& predictor() const {
     return *predictor_;
   }
-  /// \brief The configuration scorer (queries must use the concurrent-safe
-  ///        `evaluate_uncached`; see core/optimizer.h).
+  /// \brief The configuration scorer (const methods only; see
+  ///        core/optimizer.h for the concurrency contract).
   [[nodiscard]] const core::Optimizer& optimizer() const {
     return *optimizer_;
   }
@@ -109,7 +109,8 @@ class Snapshot {
   /// \brief `telemetry::now_us()` when the build completed (feeds the
   ///        `serve.snapshot_age_us` gauge).
   [[nodiscard]] double loaded_at_us() const { return loaded_at_us_; }
-  /// \brief Retained-bytes estimate (preference tables + RTT matrix).
+  /// \brief Retained-bytes estimate: preference tables, RTT matrix and
+  ///        the optimizer's tables (the world is not counted).
   [[nodiscard]] std::size_t retained_bytes() const { return retained_bytes_; }
   /// \brief Records in the backing store when the snapshot loaded (0
   ///        without a store).

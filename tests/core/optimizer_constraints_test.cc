@@ -80,7 +80,7 @@ TEST(OptimizerConstraints, LoadExactlyAtCapacityPasses) {
 
   OptimizerOptions opts = quick();
   core::Optimizer unconstrained(pipeline.predictor(), opts);
-  const EvaluatedConfig base = unconstrained.evaluate(solo);
+  const EvaluatedConfig base = unconstrained.evaluate_uncached(solo);
   const double n = static_cast<double>(env.world->targets().size());
   const double load = std::round(base.fraction_ordered * n);
   ASSERT_GT(load, 0.0);
@@ -88,11 +88,13 @@ TEST(OptimizerConstraints, LoadExactlyAtCapacityPasses) {
   opts.site_capacity.assign(15, 1e18);
   opts.site_capacity[solo_site.value()] = load;  // exactly at capacity
   core::Optimizer at_capacity(pipeline.predictor(), opts);
-  EXPECT_TRUE(std::isfinite(at_capacity.evaluate(solo).predicted_mean_rtt));
+  EXPECT_TRUE(
+      std::isfinite(at_capacity.evaluate_uncached(solo).predicted_mean_rtt));
 
   opts.site_capacity[solo_site.value()] = load - 0.5;  // just below
   core::Optimizer over_capacity(pipeline.predictor(), opts);
-  EXPECT_FALSE(std::isfinite(over_capacity.evaluate(solo).predicted_mean_rtt));
+  EXPECT_FALSE(
+      std::isfinite(over_capacity.evaluate_uncached(solo).predicted_mean_rtt));
 }
 
 TEST(OptimizerConstraints, ZeroCapacityWithZeroWeightCatchmentIsFeasible) {
@@ -129,14 +131,14 @@ TEST(OptimizerConstraints, ZeroCapacityWithZeroWeightCatchmentIsFeasible) {
     }
   }
   core::Optimizer drained_workload(pipeline.predictor(), opts);
-  EXPECT_TRUE(
-      std::isfinite(drained_workload.evaluate(config).predicted_mean_rtt));
+  EXPECT_TRUE(std::isfinite(
+      drained_workload.evaluate_uncached(config).predicted_mean_rtt));
 
   OptimizerOptions uniform = quick();
   uniform.site_capacity = opts.site_capacity;
   core::Optimizer live_workload(pipeline.predictor(), uniform);
-  EXPECT_FALSE(
-      std::isfinite(live_workload.evaluate(config).predicted_mean_rtt));
+  EXPECT_FALSE(std::isfinite(
+      live_workload.evaluate_uncached(config).predicted_mean_rtt));
 }
 
 TEST(OptimizerConstraints, ImpossibleCapacityYieldsNoConfig) {

@@ -70,6 +70,13 @@ TEST_F(ServiceTest, InfoReportsTheSnapshotShape) {
   EXPECT_NE(response.find("\"targets\":" +
                           std::to_string(snapshot_->target_count())),
             std::string::npos);
+  // The byte estimate counts the optimizer's tables with the predictor's.
+  EXPECT_GT(snapshot_->optimizer().retained_bytes(), 0u);
+  EXPECT_GT(snapshot_->retained_bytes(),
+            snapshot_->optimizer().retained_bytes());
+  EXPECT_NE(response.find("\"retained_bytes\":" +
+                          std::to_string(snapshot_->retained_bytes())),
+            std::string::npos);
 }
 
 TEST_F(ServiceTest, InfoReportsSiteLoadCapacityAndSloState) {
