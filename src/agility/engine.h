@@ -54,9 +54,9 @@ struct AgilityOptions {
   std::uint8_t prepend_levels = 2; ///< prepend depths 1..levels per site
   std::uint64_t seed = 0xA61;      ///< roots every content-derived nonce
   /// Candidate-parallel evaluation pool (not owned; nullptr = serial).
-  /// Must NOT be a pool the calling task itself runs on, and must not be
-  /// shared with `OrchestratorOptions::resolve_pool` — nested parallel_for
-  /// on one pool can deadlock.
+  /// Must NOT be a pool the calling task itself runs on — nested
+  /// parallel_for on one pool can deadlock.  Each candidate's census runs
+  /// on its worker thread's arena (`Orchestrator::thread_scratch`).
   ThreadPool* pool = nullptr;
   /// Evaluate steps over one shared converged base (copy-on-write
   /// overlays).  `false` re-converges a private base per step — the classic

@@ -11,9 +11,7 @@ namespace anyopt::bgp {
 
 namespace {
 
-/// Pre-resolved forwarding-cache metrics — the SAME registry counters the
-/// array-of-structs resolve feeds, so campaign-wide cache telemetry is
-/// layout-independent.
+/// Pre-resolved walk-cache metrics (one registry lookup per process).
 struct ResolveMetrics {
   telemetry::Counter* cache_hit;
   telemetry::Counter* cache_miss;
@@ -54,7 +52,7 @@ enum CompactTag : std::uint64_t {
 }  // namespace
 
 /// The structure-of-arrays view bgp/walk.h's shared walk reads — the SoA
-/// twin of the view inside `RoutingState::resolve_walk`.
+/// twin of the view inside `RoutingState::resolve`.
 struct CompactState::View {
   const CompactState* cs;
   [[nodiscard]] const topo::Internet& net() const {
@@ -205,7 +203,7 @@ CompactState CompactState::freeze(const Simulator& sim,
                       bs.equal_best.end());
   }
 
-  if (sim.options().resolution_cache) out.cache_.resize(n);
+  out.cache_.resize(n);
   return out;
 }
 
@@ -217,7 +215,7 @@ ResolvedPath CompactState::resolve(AsId from, const geo::Coordinates& from_loc,
     return ResolvedPath{};
   }
   if (cache_.empty() || from.value() >= cache_.size()) {
-    // Cache disabled, or the id lies beyond the (possibly budget-capped)
+    // The id lies beyond the (possibly budget-capped, possibly zero)
     // cache range: plain walk, no memoization.
     return walk_resolve(View{this}, run_nonce_, from, from_loc, flow_hash,
                         nullptr);
@@ -226,18 +224,18 @@ ResolvedPath CompactState::resolve(AsId from, const geo::Coordinates& from_loc,
   const bool telem = telemetry::enabled();
   switch (walk.state) {
     case CachedWalk::State::kCached:
-      cache_hits_.n.fetch_add(1, std::memory_order_relaxed);
+      ++cache_hits_;
       if (telem) ResolveMetrics::get().cache_hit->add(1);
       return walk_replay(walk, from_loc);
     case CachedWalk::State::kUncached:
-      cache_misses_.n.fetch_add(1, std::memory_order_relaxed);
+      ++cache_misses_;
       if (telem) ResolveMetrics::get().cache_miss->add(1);
       return walk_resolve(View{this}, run_nonce_, from, from_loc, flow_hash,
                           nullptr);
     case CachedWalk::State::kUnknown:
       break;
   }
-  cache_misses_.n.fetch_add(1, std::memory_order_relaxed);
+  ++cache_misses_;
   if (telem) ResolveMetrics::get().cache_miss->add(1);
   return walk_resolve(View{this}, run_nonce_, from, from_loc, flow_hash,
                       &walk);

@@ -28,10 +28,11 @@
 // layout stores what resolution and persistence need, which is the whole
 // compression story (see docs/SCALING.md for measured bytes/AS).
 //
-// `resolve` instantiates the exact walk shared with `RoutingState`
-// (bgp/walk.h), including the memoization state machine, so censuses taken
-// over either layout are bit-identical — enforced end to end by the
-// layout-invariance suite.
+// This is the only layout a census resolves against.  `resolve`
+// instantiates the exact walk `RoutingState::resolve` runs (bgp/walk.h) and
+// adds a per-client-AS walk cache on top; the engine layout's plain walk
+// stays as the reference it is checked against (compact_test and the
+// layout-invariance suite).
 //
 // The tables are prefix-keyed for persistence: this reproduction announces
 // a single anycast prefix, so `prefix_key` defaults to 0, but the codec
@@ -39,7 +40,6 @@
 // A decoded `CompactState` is a table artifact (store round trips, diffs):
 // it is not bound to a topology and cannot resolve.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,8 +54,9 @@
 namespace anyopt::bgp {
 
 /// \brief Frozen structure-of-arrays RIB + best-route state of one
-///        converged run.  Immutable tables; `resolve` memoizes walks
-///        exactly like `RoutingState::resolve` (same single-thread rule).
+///        converged run.  Immutable tables; `resolve` memoizes walks per
+///        client AS, so one CompactState must not be resolved from several
+///        threads at once.
 class CompactState {
  public:
   CompactState() = default;
@@ -75,9 +76,12 @@ class CompactState {
                                            const RoutingState& state);
 
   /// \brief Walks the data plane from a client, exactly as
-  ///        `RoutingState::resolve` does (shared implementation, shared
-  ///        memoization rules; bit-identical results).
+  ///        `RoutingState::resolve` does (shared implementation;
+  ///        bit-identical results), memoizing the walk per client AS.
   ///
+  /// A client AS's walk is replayed for its later targets unless a hop
+  /// depended on the flow hash or the client's location (see bgp/walk.h's
+  /// `CachedWalk`); replay re-adds the recorded hop latencies in order.
   /// Robust to sparse id spaces: a client AS beyond the frozen range
   /// resolves as unreachable, and ids beyond the cache capacity take the
   /// plain (uncached) walk instead of indexing out of bounds.
@@ -102,13 +106,12 @@ class CompactState {
   /// \brief The persistence key of the prefix these tables describe.
   [[nodiscard]] std::uint64_t prefix_key() const { return prefix_key_; }
 
-  /// \brief Per-state resolve-cache tallies (see `RoutingState::cache_hits`).
-  [[nodiscard]] std::uint64_t cache_hits() const {
-    return cache_hits_.n.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t cache_misses() const {
-    return cache_misses_.n.load(std::memory_order_relaxed);
-  }
+  /// \brief Walk-cache tallies of THIS state: replayed / walked
+  ///        resolutions (the global `bgp.resolve.cache_*` counters
+  ///        aggregate the same numbers process-wide; provenance records
+  ///        attribute them to individual experiments).
+  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
+  [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
 
   /// \brief Heap bytes retained by the frozen tables (feeds the
   ///        `bytes.rib` gauge; walk-cache bytes excluded — those are
@@ -174,27 +177,10 @@ class CompactState {
   std::vector<std::uint32_t> host_begin_;     ///< size as_count+1
   std::vector<AttachmentIndex> host_pool_;
 
-  /// Movable relaxed counter: `CompactState` is returned by value from
-  /// `freeze`, and the parallel resolve pass (measure's `resolve_pool`)
-  /// bumps the tallies from several workers at once — a plain uint64 would
-  /// be a data race, a bare std::atomic would delete the move.
-  struct RelaxedCount {
-    std::atomic<std::uint64_t> n{0};
-    RelaxedCount() = default;
-    RelaxedCount(RelaxedCount&& o) noexcept
-        : n(o.n.load(std::memory_order_relaxed)) {}
-    RelaxedCount& operator=(RelaxedCount&& o) noexcept {
-      n.store(o.n.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      return *this;
-    }
-  };
-
-  // --- Walk memoization (mutable; per-AS cache slots have one writer —
-  //     the parallel resolve pass never splits an AS run across workers —
-  //     and the tallies are relaxed atomics; see resolve). ---
+  // --- Walk memoization (mutable: filled by const `resolve`). ---
   mutable std::vector<CachedWalk> cache_;
-  mutable RelaxedCount cache_hits_;
-  mutable RelaxedCount cache_misses_;
+  mutable std::uint64_t cache_hits_ = 0;
+  mutable std::uint64_t cache_misses_ = 0;
 };
 
 }  // namespace anyopt::bgp

@@ -47,16 +47,6 @@ struct SimulatorOptions {
   /// Global ablation switch for the arrival-order tie-break; ANDed with the
   /// per-AS `prefers_oldest` flag.
   bool arrival_order_tiebreak = true;
-  /// Enables the per-RoutingState forwarding cache: `resolve()` memoizes
-  /// each client AS's data-plane walk so targets sharing a client AS replay
-  /// it instead of re-walking (hops whose choice depends on the flow hash —
-  /// multipath splits, host-AS hot-potato from the client's own location —
-  /// stay uncached).  Results are bit-identical on or off; `explain()`
-  /// always bypasses the cache.  Note the cache makes `resolve()` mutate
-  /// internal memoization state: a single RoutingState must not be resolved
-  /// from multiple threads concurrently (census workers each own their
-  /// state, so the campaign engine is unaffected).
-  bool resolution_cache = true;
   /// Safety valve: abort if a run exceeds this many events (0 = auto).
   std::size_t max_events = 0;
   /// Base seed; combined with the per-run nonce.
@@ -115,11 +105,11 @@ struct OverlayStats {
 /// recycled buffers, and hand the consumed RoutingState back via
 /// `recycle()` once its results have been read.
 ///
-/// A scratch is NOT thread-safe — it is meant to be owned by one worker
-/// (`measure::CampaignRunner` keeps one per pool worker; the orchestrator
-/// falls back to a thread-local one).  Reuse never changes results: every
-/// recycled buffer is reset before the run and the engine only ever reads
-/// state it wrote this run.
+/// A scratch is NOT thread-safe — it is meant to be owned by one thread
+/// (the measurement plane keeps exactly one per thread, see
+/// `measure::Orchestrator::thread_scratch`).  Reuse never changes results:
+/// every recycled buffer is reset before the run and the engine only ever
+/// reads state it wrote this run.
 class SimScratch {
  public:
   SimScratch();
@@ -175,7 +165,8 @@ class BaseState {
 /// Converged routing state of one run.  Valid only while the owning
 /// Simulator is alive (and, for overlay states, the BaseState they were
 /// forked from).  Move-only: a state may own copy-on-write pages and a
-/// run continuation, which have a single owner.
+/// run continuation, which have a single owner.  Every const method is a
+/// pure read, so any number of threads may resolve one state at once.
 class RoutingState {
  public:
   RoutingState();
@@ -197,12 +188,9 @@ class RoutingState {
   /// Walks the data plane from a client at `from` / `from_loc` to its
   /// catchment site.  `flow_hash` seeds per-flow multipath splitting.
   ///
-  /// When the owning simulator's `resolution_cache` option is on, the walk
-  /// from each client AS is memoized on first use and replayed for later
-  /// targets in the same AS (the per-hop decisions are pure functions of
-  /// the converged RIBs; only the first-hop latency and the flow-dependent
-  /// pieces are recomputed per call).  The memoization mutates internal
-  /// state, so a cached RoutingState must not be resolved concurrently.
+  /// This is the plain, unmemoized walk of bgp/walk.h over the engine
+  /// layout: the reference the measurement plane's frozen, walk-caching
+  /// `CompactState::resolve` is checked against.
   [[nodiscard]] ResolvedPath resolve(AsId from, const geo::Coordinates& from_loc,
                                      std::uint64_t flow_hash) const;
 
@@ -219,17 +207,6 @@ class RoutingState {
   /// Simulated time of the last processed event (seconds).
   [[nodiscard]] double converged_at_s() const { return last_event_s_; }
 
-  /// Per-state resolve-cache tallies: replayed / walked resolutions of THIS
-  /// state (the global `bgp.resolve.cache_*` counters aggregate the same
-  /// numbers process-wide).  Provenance records attribute cache behaviour
-  /// to individual experiments through these.
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
-
-  /// Approximate heap bytes retained by the forwarding cache (capacities,
-  /// not live sizes — this is the memory the arena actually holds).
-  [[nodiscard]] std::size_t resolve_cache_bytes() const;
-
   /// Approximate heap bytes of the copy-on-write pages this overlay has
   /// privatized (0 for clean runs: their pages are plain state, accounted
   /// by the scratch that recycles them).
@@ -245,18 +222,6 @@ class RoutingState {
     std::vector<RibEntry> rib;  ///< slots: AS neighbors, then attachments
     BestSet best;
   };
-  /// The memoized data-plane walk record (hoisted to namespace scope so the
-  /// structure-of-arrays CompactState shares the exact machinery; see
-  /// bgp/walk.h for the cacheability rules).
-  using CachedWalk = ::anyopt::bgp::CachedWalk;
-  /// The uncached walk (instantiates bgp/walk.h's shared `walk_resolve`
-  /// over this layout).  If `record` is non-null the walk is captured into
-  /// it (or marked kUncached when a flow/location-dependent hop is met).
-  [[nodiscard]] ResolvedPath resolve_walk(AsId from,
-                                          const geo::Coordinates& from_loc,
-                                          std::uint64_t flow_hash,
-                                          CachedWalk* record) const;
-
   /// The routing state of `as`: this state's own page when it was written
   /// during the run (or the run was not an overlay), else the shared base
   /// page.  Every read goes through here, so untouched ASes never copy.
@@ -274,11 +239,6 @@ class RoutingState {
   /// (`keep_continuation`); consumed by `Simulator::resume_overlay`.
   struct Cont;
   std::unique_ptr<Cont> cont_;
-  /// Forwarding cache, indexed by client AS; empty = cache disabled.
-  /// Mutable: memoization from const `resolve()` (single-threaded use).
-  mutable std::vector<CachedWalk> walk_cache_;
-  mutable std::uint64_t cache_hits_ = 0;
-  mutable std::uint64_t cache_misses_ = 0;
   std::uint64_t run_nonce_ = 0;
   std::size_t events_ = 0;
   double last_event_s_ = 0;

@@ -4,12 +4,12 @@
 // `walk_resolve` is the one implementation of "follow the converged best
 // routes from a client AS to its catchment site".  It is a template over a
 // *RIB view* so that the array-of-structs `RoutingState` (the layout the
-// propagation engine mutates) and the structure-of-arrays `CompactState`
-// (the frozen layout the measurement plane resolves against at Internet
-// scale) execute the exact same instruction sequence — every floating-point
-// operation in the same order — which is what makes the two layouts
-// bit-identical by construction rather than by test alone (the
-// layout-invariance suite then enforces it end to end).
+// propagation engine mutates; its plain walk is the reference) and the
+// structure-of-arrays `CompactState` (the frozen layout every census
+// resolves against, with a walk cache) execute the exact same instruction
+// sequence — every floating-point operation in the same order — which is
+// what makes the two layouts bit-identical by construction rather than by
+// test alone (compact_test and the layout-invariance suite then check it).
 //
 // A view `v` must provide, for every AS `a` reachable from the walk:
 //   const topo::Internet&            v.net()

@@ -45,14 +45,9 @@ void record_store_hit(std::uint64_t nonce, std::size_t ordinal,
 
 CampaignRunner::CampaignRunner(const Orchestrator& orchestrator,
                                CampaignRunnerOptions options)
-    : orchestrator_(orchestrator),
-      reuse_scratch_(options.reuse_scratch),
-      store_(options.store) {
+    : orchestrator_(orchestrator), store_(options.store) {
   if (options.threads != 1) {
     pool_ = std::make_unique<ThreadPool>(options.threads);
-    if (reuse_scratch_) {
-      worker_scratch_ = std::vector<bgp::SimScratch>(pool_->size());
-    }
   }
 }
 
@@ -93,23 +88,9 @@ std::vector<Census> CampaignRunner::run(
         telemetry::enabled() && telemetry::tracing()
             ? telemetry::make_args("index", i, "nonce", specs[i].nonce)
             : std::string{});
-    const ExperimentAt at{specs[i].ordinal, specs[i].attempt};
-    const auto simulate = [&] {
-      if (!reuse_scratch_) {
-        return orchestrator_.measure(specs[i].config, specs[i].nonce, nullptr,
-                                     at);
-      }
-      // Pooled: index the per-worker arena by the executing worker.  Serial
-      // (or any non-worker caller): fall back to the orchestrator's
-      // thread-local scratch.
-      const std::size_t worker = ThreadPool::current_worker();
-      if (worker < worker_scratch_.size()) {
-        return orchestrator_.measure(specs[i].config, specs[i].nonce,
-                                     &worker_scratch_[worker], at);
-      }
-      return orchestrator_.measure(specs[i].config, specs[i].nonce, at);
-    };
-    Census census = simulate();
+    Census census = orchestrator_.measure(
+        specs[i].config, specs[i].nonce,
+        ExperimentAt{specs[i].ordinal, specs[i].attempt});
     // Flush the moment the experiment finishes: an interrupted campaign
     // loses at most its in-flight experiments.  A write failure only costs
     // the checkpoint, never the campaign.
@@ -170,20 +151,9 @@ std::vector<Census> CampaignRunner::run_overlays(
         telemetry::enabled() && telemetry::tracing()
             ? telemetry::make_args("index", i, "nonce", spec.nonce)
             : std::string{});
-    const ExperimentAt at{spec.ordinal, spec.attempt};
-    bgp::SimScratch* scratch = nullptr;
-    if (reuse_scratch_) {
-      const std::size_t worker = ThreadPool::current_worker();
-      if (worker < worker_scratch_.size()) {
-        scratch = &worker_scratch_[worker];
-      } else {
-        thread_local bgp::SimScratch serial_scratch;
-        scratch = &serial_scratch;
-      }
-    }
-    Census census = orchestrator_.measure_overlay(*spec.base, spec.config,
-                                                  spec.delta, spec.nonce,
-                                                  scratch, at);
+    Census census = orchestrator_.measure_overlay(
+        *spec.base, spec.config, spec.delta, spec.nonce,
+        ExperimentAt{spec.ordinal, spec.attempt});
     if (store_ != nullptr) {
       (void)store_->put_census(key, census);
     }
@@ -247,23 +217,11 @@ std::vector<Census> CampaignRunner::run_overlay_pairs(
         telemetry::enabled() && telemetry::tracing()
             ? telemetry::make_args("index", i, "nonce", spec.nonce0)
             : std::string{});
-    const ExperimentAt at0{spec.ordinal0, spec.attempt};
-    const ExperimentAt at1{spec.ordinal1, spec.attempt};
-    bgp::SimScratch* scratch = nullptr;
-    if (reuse_scratch_) {
-      const std::size_t worker = ThreadPool::current_worker();
-      if (worker < worker_scratch_.size()) {
-        scratch = &worker_scratch_[worker];
-      } else {
-        // Serial (or any non-worker caller): same thread-local amortization
-        // the orchestrator's plain `measure` path uses.
-        thread_local bgp::SimScratch serial_scratch;
-        scratch = &serial_scratch;
-      }
-    }
     Orchestrator::OverlayPairCensus pair = orchestrator_.measure_overlay_pair(
         *spec.base, spec.config0, spec.config1, spec.delta, spec.reage,
-        spec.nonce0, spec.nonce1, scratch, at0, at1);
+        spec.nonce0, spec.nonce1, &Orchestrator::thread_scratch(),
+        ExperimentAt{spec.ordinal0, spec.attempt},
+        ExperimentAt{spec.ordinal1, spec.attempt});
     if (store_ != nullptr) {
       // Same flush-as-you-go policy as `run`; a write failure only costs
       // the checkpoint.

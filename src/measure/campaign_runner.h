@@ -85,10 +85,6 @@ struct CampaignRunnerOptions {
   /// Worker threads; 1 = run serially on the calling thread (no pool),
   /// 0 = hardware concurrency.
   std::size_t threads = 1;
-  /// Keep one `bgp::SimScratch` per pool worker so consecutive experiments
-  /// on a worker recycle simulator allocations.  Never changes results;
-  /// disable to force fresh allocations per experiment.
-  bool reuse_scratch = true;
   /// Optional persistent result store (checkpoint/resume and warm starts).
   /// Each spec is looked up by `ResultStore::census_key` before running —
   /// a hit replays the persisted census without simulating — and every
@@ -108,7 +104,7 @@ class CampaignRunner {
  public:
   /// \brief Builds a runner over an orchestrator.
   /// \param orchestrator the measurement engine (must outlive the runner).
-  /// \param options worker count and scratch policy.
+  /// \param options worker count and result store.
   explicit CampaignRunner(const Orchestrator& orchestrator,
                           CampaignRunnerOptions options = {});
 
@@ -156,17 +152,12 @@ class CampaignRunner {
 
  private:
   const Orchestrator& orchestrator_;
-  bool reuse_scratch_ = true;
   ResultStore* store_ = nullptr;
   // The pool is internally synchronized; dispatching through it from a
-  // const `run` leaves the runner's observable state untouched.
+  // const `run` leaves the runner's observable state untouched.  Each
+  // worker simulates on its own thread's arena
+  // (`Orchestrator::thread_scratch`).
   std::unique_ptr<ThreadPool> pool_;
-  // One allocation arena per pool worker (empty when serial — the serial
-  // path uses the orchestrator's thread-local scratch).  Mutable for the
-  // same reason the pool dispatch is const: recycled buffers are invisible
-  // to callers, results are bit-identical with or without them.  Each arena
-  // is touched only by its own worker thread, so no locking is needed.
-  mutable std::vector<bgp::SimScratch> worker_scratch_;
 };
 
 }  // namespace anyopt::measure

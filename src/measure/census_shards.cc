@@ -1,7 +1,6 @@
 #include "measure/census_shards.h"
 
 #include <cassert>
-#include <utility>
 
 namespace anyopt::measure {
 
@@ -55,33 +54,6 @@ bgp::AttachmentIndex CensusShards::attachment(std::size_t t) const {
 double CensusShards::one_way_ms(std::size_t t) const {
   assert(written(t));
   return shard_of(t)->one_way_ms[t % kShardWidth];
-}
-
-void CensusShards::merge(CensusShards&& other) {
-  assert(other.target_count_ == target_count_);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::unique_ptr<Shard>& theirs = other.shards_[s];
-    if (theirs == nullptr) continue;
-    std::unique_ptr<Shard>& ours = shards_[s];
-    if (ours == nullptr) {
-      // Whole-shard steal: the common case when writers own disjoint
-      // target ranges aligned to shards.
-      ours = std::move(theirs);
-      continue;
-    }
-    // Entry-level merge of a shared shard.  Writes are disjoint per
-    // target, so copying only `theirs`-written entries commutes: any
-    // merge order lands on byte-identical state.
-    for (std::size_t i = 0; i < kShardWidth; ++i) {
-      if (theirs->written[i] == 0) continue;
-      assert(ours->written[i] == 0);
-      ours->written[i] = 1;
-      ours->site[i] = theirs->site[i];
-      ours->attachment[i] = theirs->attachment[i];
-      ours->one_way_ms[i] = theirs->one_way_ms[i];
-    }
-    theirs.reset();
-  }
 }
 
 void CensusShards::release_through(std::size_t t) {

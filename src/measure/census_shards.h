@@ -13,11 +13,7 @@
 //   * released eagerly — the probe pass drains targets in ascending order
 //     and can return each fully-consumed shard to the allocator while the
 //     census is still being taken (the `--mem-budget-mb` streaming
-//     degradation; see netbase/resmon.h),
-//   * merge-combinable — disjoint shard sets produced by independent
-//     resolve workers merge in any order into byte-identical state, which
-//     is what makes a future parallel resolve pass a pure scheduling
-//     change (enforced by the tsan-labelled merge-order test).
+//     degradation; see netbase/resmon.h).
 //
 // Unwritten targets are unreachable by construction: resolution only
 // writes reachable paths, so "no shard" and "written flag clear" both mean
@@ -35,9 +31,7 @@ namespace anyopt::measure {
 
 /// \brief Lazily-sharded per-target resolution records for one census.
 ///
-/// Single-writer per shard; `merge` combines disjoint writers.  Not
-/// thread-safe for concurrent writes to the SAME shard (resolve workers
-/// own disjoint target ranges, so shard ownership is disjoint too).
+/// Owned by the one thread that takes the census; not thread-safe.
 class CensusShards {
  public:
   /// Targets per shard.  4096 × 24 B ≈ 96 KiB per shard: big enough that
@@ -62,11 +56,6 @@ class CensusShards {
   [[nodiscard]] bgp::AttachmentIndex attachment(std::size_t t) const;
   /// \brief Resolved one-way latency (ms) of a written target.
   [[nodiscard]] double one_way_ms(std::size_t t) const;
-
-  /// \brief Steals `other`'s shards into this plane.  Writes must be
-  ///        disjoint per target; the merged state is byte-identical for
-  ///        every merge order (the order-invariance contract).
-  void merge(CensusShards&& other);
 
   /// \brief Releases every shard that ends at or before target `t` — the
   ///        streaming hook: the probe pass calls this as its cursor

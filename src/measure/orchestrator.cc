@@ -8,7 +8,6 @@
 #include "netbase/resmon.h"
 #include "netbase/stats.h"
 #include "netbase/telemetry.h"
-#include "netbase/thread_pool.h"
 
 namespace anyopt::measure {
 
@@ -133,33 +132,17 @@ double Orchestrator::tunnel_rtt_ms(SiteId site) const {
   return 2.0 * geo::one_way_latency_ms(options_.location, s.where) + 1.5;
 }
 
-Census Orchestrator::measure(const anycast::AnycastConfig& config,
-                             std::uint64_t experiment_nonce) const {
-  return measure(config, experiment_nonce, ExperimentAt{});
+bgp::SimScratch& Orchestrator::thread_scratch() {
+  // `measure` is const and runs on many threads at once (campaign workers,
+  // serve workers), but each census runs on one thread, so one arena per
+  // thread is all the amortization needs and never needs a lock.
+  thread_local bgp::SimScratch scratch;
+  return scratch;
 }
 
 Census Orchestrator::measure(const anycast::AnycastConfig& config,
                              std::uint64_t experiment_nonce,
                              ExperimentAt at) const {
-  if (!options_.reuse_scratch) {
-    return measure(config, experiment_nonce, nullptr, at);
-  }
-  // One scratch per thread: `measure` is const and may be called from
-  // several campaign workers at once, but each call runs on one thread and
-  // consecutive censuses on that thread recycle the same buffers.
-  thread_local bgp::SimScratch scratch;
-  return measure(config, experiment_nonce, &scratch, at);
-}
-
-Census Orchestrator::measure(const anycast::AnycastConfig& config,
-                             std::uint64_t experiment_nonce,
-                             bgp::SimScratch* scratch) const {
-  return measure(config, experiment_nonce, scratch, ExperimentAt{});
-}
-
-Census Orchestrator::measure(const anycast::AnycastConfig& config,
-                             std::uint64_t experiment_nonce,
-                             bgp::SimScratch* scratch, ExperimentAt at) const {
   const bool telem = telemetry::enabled();
   const bool tracing = provenance::active();
   const double t0_us = tracing ? telemetry::now_us() : 0.0;
@@ -229,10 +212,11 @@ Census Orchestrator::measure(const anycast::AnycastConfig& config,
     trace.degraded = round_faults.degraded;
     trace.storm = round_faults.extra_loss_rate > 0.0;
   }
+  bgp::SimScratch& scratch = thread_scratch();
   bgp::RoutingState state =
-      world_.simulator().run(schedule, experiment_nonce, scratch);
+      world_.simulator().run(schedule, experiment_nonce, &scratch);
   Census census = census_from_state(state, experiment_nonce, round_faults, at,
-                                    tracing ? &trace : nullptr, scratch);
+                                    tracing ? &trace : nullptr, &scratch);
   if (tracing) {
     trace.duration_ms = (telemetry::now_us() - t0_us) / 1e3;
     provenance::FlightLog::global().record(trace);
@@ -264,102 +248,43 @@ Census Orchestrator::census_from_state(bgp::RoutingState& state,
   const std::size_t sim_events = state.events_processed();
   const std::size_t overlay_copied = state.overlay_copied_bytes();
 
-  // Pass 1 — resolve every target's forwarding path into the sharded
-  // aggregation plane, visiting targets grouped by client AS so each AS's
-  // memoized walk is built once and replayed while hot.  Resolution is a
-  // pure function of the converged state, so visiting order cannot change
-  // any result; only reachable targets write (unwritten = unreachable).
+  // Pass 1 — freeze the converged RIB into the SoA layout, then resolve
+  // every target's forwarding path into the sharded aggregation plane,
+  // visiting targets grouped by client AS so each AS's memoized walk is
+  // built once and replayed while hot.  Resolution is a pure function of
+  // the converged state, so visiting order cannot change any result; only
+  // reachable targets write (unwritten = unreachable).
   CensusShards resolved(targets.size());
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::size_t rib_bytes = 0;
   std::size_t cache_bytes = 0;
-  if (options_.compact_resolve) {
+  {
     bgp::CompactState rib =
         bgp::CompactState::freeze(world_.simulator(), state);
-    // The engine layout is dead from here on: recycle its arena before the
-    // resolve pass, so at Internet scale the two layouts never coexist.
-    // Over the memory budget the arena must not be PARKED either — skip
-    // the recycle and let the caller's state free on scope exit instead —
-    // and the frozen walk cache degrades to uncached (results are
-    // bit-identical at any cache capacity).
-    if (scratch != nullptr && !resmon::over_mem_budget()) {
-      scratch->recycle(std::move(state));
-    } else if (resmon::over_mem_budget()) {
+    // The engine layout is dead from here on: hand its buffers back to
+    // the thread's arena before the resolve pass.  Over the memory budget
+    // the arena must not be PARKED — skip the recycle and let the caller's
+    // state free on scope exit instead — and the frozen walk cache
+    // degrades to uncached (results are bit-identical at any cache
+    // capacity).
+    if (resmon::over_mem_budget()) {
       rib.set_cache_capacity(0);
+    } else if (scratch != nullptr) {
+      scratch->recycle(std::move(state));
     }
-    ThreadPool* pool = options_.resolve_pool;
-    if (pool != nullptr && pool->size() > 1 && !resolve_order_.empty()) {
-      // Parallel resolve (the ROADMAP item-2 headroom): workers take
-      // contiguous chunks of the AS-grouped order, each chunk's end pushed
-      // forward so a client AS's run never splits.  That gives every AS
-      // exactly one resolving worker — the frozen walk cache's per-AS slots
-      // have a single writer, and the serial pass's hit/miss pattern (one
-      // miss then hot replays per AS) is reproduced exactly.  Workers write
-      // private CensusShards planes (chunk targets are scattered in id
-      // space, so planes interleave within shards entry-disjointly) and the
-      // planes merge order-invariantly — censuses are bit-identical to the
-      // serial pass at any pool size.
-      const std::size_t n = resolve_order_.size();
-      const std::size_t workers = pool->size();
-      std::vector<std::pair<std::size_t, std::size_t>> ranges;
-      std::size_t begin = 0;
-      for (std::size_t w = 0; w < workers && begin < n; ++w) {
-        std::size_t end =
-            w + 1 == workers ? n : begin + (n - begin) / (workers - w);
-        if (end <= begin) end = begin + 1;
-        while (end < n && targets.target(TargetId{resolve_order_[end]}).as ==
-                              targets.target(TargetId{resolve_order_[end - 1]})
-                                  .as) {
-          ++end;
-        }
-        ranges.emplace_back(begin, std::min(end, n));
-        begin = end;
-      }
-      std::vector<CensusShards> planes;
-      planes.reserve(ranges.size());
-      for (std::size_t r = 0; r < ranges.size(); ++r) {
-        planes.emplace_back(targets.size());
-      }
-      pool->parallel_for(ranges.size(), [&](std::size_t r) {
-        for (std::size_t i = ranges[r].first; i < ranges[r].second; ++i) {
-          const std::uint32_t t = resolve_order_[i];
-          const anycast::Target& tgt = targets.target(TargetId{t});
-          const bgp::ResolvedPath path = rib.resolve(tgt.as, tgt.where, t);
-          if (path.reachable) {
-            planes[r].set(t, path.site, path.attachment, path.one_way_ms);
-          }
-        }
-      });
-      for (CensusShards& plane : planes) resolved.merge(std::move(plane));
-    } else {
-      for (const std::uint32_t t : resolve_order_) {
-        const anycast::Target& tgt = targets.target(TargetId{t});
-        const bgp::ResolvedPath path = rib.resolve(tgt.as, tgt.where, t);
-        if (path.reachable) {
-          resolved.set(t, path.site, path.attachment, path.one_way_ms);
-        }
+    for (const std::uint32_t t : resolve_order_) {
+      const anycast::Target& tgt = targets.target(TargetId{t});
+      const bgp::ResolvedPath path = rib.resolve(tgt.as, tgt.where, t);
+      if (path.reachable) {
+        resolved.set(t, path.site, path.attachment, path.one_way_ms);
       }
     }
     cache_hits = rib.cache_hits();
     cache_misses = rib.cache_misses();
     rib_bytes = rib.retained_bytes();
     cache_bytes = rib.resolve_cache_bytes();
-  } else {
-    for (const std::uint32_t t : resolve_order_) {
-      const anycast::Target& tgt = targets.target(TargetId{t});
-      const bgp::ResolvedPath path = state.resolve(tgt.as, tgt.where, t);
-      if (path.reachable) {
-        resolved.set(t, path.site, path.attachment, path.one_way_ms);
-      }
-    }
-    cache_hits = state.cache_hits();
-    cache_misses = state.cache_misses();
-    cache_bytes = state.resolve_cache_bytes();
-    if (scratch != nullptr && !resmon::over_mem_budget()) {
-      scratch->recycle(std::move(state));
-    }
-  }
+  }  // the frozen RIB is freed before the probe pass
   const std::size_t shard_bytes = resolved.retained_bytes();
 
   // Pass 2 — probe in target order.  The prober draws its noise stream in
@@ -423,9 +348,7 @@ Census Orchestrator::census_from_state(bgp::RoutingState& state,
         telemetry::Registry::global().gauge("bytes.census_shards");
     cache_bytes_gauge.set(static_cast<std::int64_t>(cache_bytes));
     shard_bytes_gauge.set(static_cast<std::int64_t>(shard_bytes));
-    if (rib_bytes != 0) {
-      rib_bytes_gauge.set(static_cast<std::int64_t>(rib_bytes));
-    }
+    rib_bytes_gauge.set(static_cast<std::int64_t>(rib_bytes));
     if (overlay_copied != 0) {
       overlay_bytes_gauge.set(static_cast<std::int64_t>(overlay_copied));
     }
@@ -469,7 +392,6 @@ Census Orchestrator::measure_overlay(const bgp::BaseState& base,
                                      const anycast::AnycastConfig& config,
                                      std::span<const bgp::Injection> delta,
                                      std::uint64_t experiment_nonce,
-                                     bgp::SimScratch* scratch,
                                      ExperimentAt at,
                                      std::size_t* sim_events) const {
   // Fallback/failed-round contract: 0, never a stale count (header doc).
@@ -477,7 +399,7 @@ Census Orchestrator::measure_overlay(const bgp::BaseState& base,
   if (schedule_faults_apply(config, at.ordinal)) {
     // The classic fallback records its own provenance line (path
     // "classic"), which is exactly the truth of what ran.
-    return measure(config, experiment_nonce, scratch, at);
+    return measure(config, experiment_nonce, at);
   }
   const bool telem = telemetry::enabled();
   const bool tracing = provenance::active();
@@ -510,13 +432,14 @@ Census Orchestrator::measure_overlay(const bgp::BaseState& base,
       telem && telemetry::tracing()
           ? telemetry::make_args("nonce", experiment_nonce)
           : std::string{});
+  bgp::SimScratch& scratch = thread_scratch();
   bgp::RoutingState state =
-      world_.simulator().run_overlay(base, delta, experiment_nonce, scratch);
+      world_.simulator().run_overlay(base, delta, experiment_nonce, &scratch);
   // Captured here, not inside census_from_state: the census pass may
   // consume the state (arena recycle) before returning.
   if (sim_events != nullptr) *sim_events = state.events_processed();
   Census census = census_from_state(state, experiment_nonce, round_faults, at,
-                                    tracing ? &trace : nullptr, scratch);
+                                    tracing ? &trace : nullptr, &scratch);
   if (tracing) {
     trace.duration_ms = (telemetry::now_us() - t0_us) / 1e3;
     provenance::FlightLog::global().record(trace);
@@ -539,8 +462,8 @@ Orchestrator::OverlayPairCensus Orchestrator::measure_overlay_pair(
     // The injected faults rewrite at least one leg's schedule, so the
     // base + delta decomposition no longer describes the experiment pair;
     // run both legs classically (classic handles every fault kind).
-    out.leg0 = measure(config0, nonce0, scratch, at0);
-    out.leg1 = measure(config1, nonce1, scratch, at1);
+    out.leg0 = measure(config0, nonce0, at0);
+    out.leg1 = measure(config1, nonce1, at1);
     return out;
   }
   fault::RoundFaults rf0;

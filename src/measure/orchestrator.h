@@ -22,10 +22,6 @@
 #include "netbase/geo.h"
 #include "netbase/ids.h"
 
-namespace anyopt {
-class ThreadPool;
-}
-
 namespace anyopt::measure {
 
 /// \brief Orchestrator configuration.
@@ -35,37 +31,11 @@ struct OrchestratorOptions {
   geo::Coordinates location{42.373, -71.110};
   ProbeModel probe;              ///< probe-channel noise & retry model
   std::uint64_t seed = 0x0BC;    ///< root of every census noise stream
-  /// Amortize simulator allocations across censuses: `measure()` without an
-  /// explicit scratch borrows a thread-local `bgp::SimScratch` so repeated
-  /// experiments reuse RIB/event-queue storage.  Results are bit-identical
-  /// either way; disable to force fresh allocations per census (used by the
-  /// cache-invariance suite).
-  bool reuse_scratch = true;
   /// Fault injector shared by every census (not owned; must outlive the
   /// orchestrator).  nullptr — the default — disables the fault layer
   /// entirely and leaves every measurement bit-identical to a build
   /// without it.
   const fault::FaultInjector* faults = nullptr;
-  /// Resolve censuses against the frozen structure-of-arrays RIB
-  /// (`bgp::CompactState`) instead of the engine's array-of-structs state.
-  /// Freezing lets the simulation arena recycle BEFORE the resolve pass
-  /// runs — at Internet scale the engine layout and the resolve layout
-  /// never coexist — and the SoA walk is a pure array scan.  Censuses are
-  /// bit-identical either way (the walk implementation is literally shared;
-  /// the layout-invariance suite enforces it end to end); disable to
-  /// resolve directly against the engine layout.
-  bool compact_resolve = true;
-  /// Worker pool for the census resolve pass (not owned; nullptr — the
-  /// default — resolves serially).  Workers take contiguous chunks of the
-  /// AS-grouped resolve order, never splitting a client-AS run, resolve
-  /// into private `CensusShards` planes and merge them order-invariantly —
-  /// censuses AND the frozen RIB's cache hit/miss counts are bit-identical
-  /// to the serial pass at any pool size (census_shards_test +
-  /// layout_invariance_test enforce it).  Only the `compact_resolve` path
-  /// parallelizes (the engine-layout cache is single-threaded by design).
-  /// The pool must NOT be one the calling task itself runs on (nested
-  /// parallel_for can deadlock), so campaign workers leave this null.
-  ThreadPool* resolve_pool = nullptr;
 };
 
 /// \brief Fault-plan coordinates of one census within its campaign.
@@ -125,47 +95,15 @@ class Orchestrator {
  public:
   /// \brief Binds the orchestrator to a world.
   /// \param world the immutable simulated Internet (must outlive this).
-  /// \param options measurement model, seed, scratch & fault settings.
+  /// \param options measurement model, seed & fault settings.
   Orchestrator(const anycast::World& world, OrchestratorOptions options = {});
 
   /// \brief Deploys `config` (full announcement schedule, §2.3) and
   ///        measures each site's catchment and each target's RTT.
-  /// \param config the anycast configuration to announce.
-  /// \param experiment_nonce individualizes BGP jitter and probe noise:
-  ///        re-running with a different nonce is a fresh real-world
-  ///        experiment; the same nonce reproduces the census bit for bit.
-  /// \return the census (one catchment + RTT row per target).
-  [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
-                               std::uint64_t experiment_nonce) const;
-
-  /// \brief Like the two-argument overload (same scratch policy), with
-  ///        fault-plan coordinates for the fault layer.
-  /// \param config the anycast configuration to announce.
-  /// \param experiment_nonce see the two-argument overload.
-  /// \param at the census's campaign ordinal and retry attempt.
-  /// \return the census.
-  [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
-                               std::uint64_t experiment_nonce,
-                               ExperimentAt at) const;
-
-  /// \brief Like the two-argument overload, but runs the BGP experiment
-  ///        through an explicit allocation scratch (see `bgp::SimScratch`)
-  ///        instead of the thread-local default.
   ///
-  /// `CampaignRunner` passes its per-worker scratch here; `nullptr`
-  /// disables amortization for this census.  Results are bit-identical
-  /// across all variants.
-  /// \param config the anycast configuration to announce.
-  /// \param experiment_nonce see the two-argument overload.
-  /// \param scratch recycled simulator buffers, or nullptr for none.
-  /// \return the census.
-  [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
-                               std::uint64_t experiment_nonce,
-                               bgp::SimScratch* scratch) const;
-
-  /// \brief Full overload: additionally locates the census inside its
-  ///        campaign for the fault layer.
-  ///
+  /// One census: converge the schedule on this thread's arena
+  /// (`thread_scratch`), freeze the converged RIB into a
+  /// `bgp::CompactState`, resolve every target against it, then probe.
   /// When `OrchestratorOptions::faults` is set, the injector's decisions
   /// for (`at.ordinal`, `at.attempt`) apply to this census: the round can
   /// be lost outright (empty census), degraded (a fraction of targets
@@ -173,14 +111,15 @@ class Orchestrator {
   /// session flaps, or probed under a loss storm.  With no injector the
   /// coordinates are ignored.
   /// \param config the anycast configuration to announce.
-  /// \param experiment_nonce see the two-argument overload.
-  /// \param scratch recycled simulator buffers, or nullptr for none.
+  /// \param experiment_nonce individualizes BGP jitter and probe noise:
+  ///        re-running with a different nonce is a fresh real-world
+  ///        experiment; the same nonce reproduces the census bit for bit.
   /// \param at the census's campaign ordinal and retry attempt.
-  /// \return the census (empty when the fault layer killed the round).
+  /// \return the census (one catchment + RTT row per target; empty when
+  ///         the fault layer killed the round).
   [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
                                std::uint64_t experiment_nonce,
-                               bgp::SimScratch* scratch,
-                               ExperimentAt at) const;
+                               ExperimentAt at = {}) const;
 
   /// \brief Converges `config`'s announcement schedule once into a
   ///        campaign-shared base state (incremental re-convergence).
@@ -212,7 +151,6 @@ class Orchestrator {
   /// \param delta injections beyond the base schedule (times relative to
   ///        the base's convergence horizon).
   /// \param experiment_nonce jitter/noise identity, as in `measure`.
-  /// \param scratch recycled simulator buffers, or nullptr.
   /// \param at the census's campaign ordinal and retry attempt.
   /// \param sim_events when non-null, receives the update events the
   ///        overlay's delta propagation processed (the incremental cost of
@@ -226,7 +164,6 @@ class Orchestrator {
                                        const anycast::AnycastConfig& config,
                                        std::span<const bgp::Injection> delta,
                                        std::uint64_t experiment_nonce,
-                                       bgp::SimScratch* scratch,
                                        ExperimentAt at,
                                        std::size_t* sim_events =
                                            nullptr) const;
@@ -260,7 +197,8 @@ class Orchestrator {
   /// \param reage the first item's attachments (re-aged for leg 1).
   /// \param nonce0 leg-0 jitter/noise identity.
   /// \param nonce1 leg-1 jitter/noise identity.
-  /// \param scratch recycled simulator buffers, or nullptr.
+  /// \param scratch recycled simulator buffers (in-tree callers pass
+  ///        `&thread_scratch()`), or nullptr for none.
   /// \param at0 leg-0 campaign coordinates.
   /// \param at1 leg-1 campaign coordinates.
   /// \return both legs' censuses.
@@ -300,18 +238,24 @@ class Orchestrator {
     return options_.faults;
   }
 
+  /// \brief The calling thread's simulation arena: one `bgp::SimScratch`
+  ///        per thread, shared by every orchestrator, so consecutive
+  ///        censuses on a thread recycle the same RIB and event-queue
+  ///        storage.  Reuse never changes a result.
+  /// \return the arena of the calling thread.
+  [[nodiscard]] static bgp::SimScratch& thread_scratch();
+
  private:
   /// An all-unreachable census in the world's target shape.
   [[nodiscard]] Census empty_census() const;
-  /// Passes 1+2 over an already converged state: resolve every target's
-  /// forwarding path (against the frozen SoA RIB when `compact_resolve` is
-  /// on), then probe, aggregating through release-as-drained census shards.
-  /// Shared by the classic and overlay paths.  When `scratch` is non-null
-  /// the state is CONSUMED: its arena recycles as soon as the engine layout
-  /// is no longer needed (immediately after the freeze on the compact path)
-  /// and the caller must not touch or recycle it again.  With a null
-  /// `scratch` the state is only read and stays the caller's to keep — the
-  /// overlay-pair leg-0 path relies on this to resume the state afterwards.
+  /// Passes 1+2 over an already converged state: freeze it into the SoA
+  /// RIB, resolve every target's forwarding path against that, then probe,
+  /// aggregating through release-as-drained census shards.  Shared by the
+  /// classic and overlay paths.  When `scratch` is non-null the state is
+  /// CONSUMED: its arena recycles right after the freeze and the caller
+  /// must not touch or recycle it again.  With a null `scratch` the state
+  /// is only read and stays the caller's to keep — the overlay-pair leg-0
+  /// path relies on this to resume the state afterwards.
   /// When `trace` is non-null its simulation/probe fields are filled for the
   /// provenance flight log (the caller owns path/fault fields and the
   /// record itself).

@@ -74,15 +74,16 @@ TEST(CompactRib, ResolveBitIdenticalToEngineLayout) {
       const ResolvedPath got = compact.resolve(tgt.as, tgt.where, t);
       expect_paths_equal(want, got, t);
     }
-    // Both layouts memoize per client AS; a second pass replays from each
-    // cache and must still agree (the replay path, not just the walk).
+    // The compact layout memoizes per client AS; a second pass replays
+    // from its cache and must still agree (the replay path, not just the
+    // walk).
     for (std::size_t t = 0; t < targets.size(); t += 7) {
       const anycast::Target& tgt =
           targets.target(TargetId{static_cast<TargetId::underlying_type>(t)});
       expect_paths_equal(state.resolve(tgt.as, tgt.where, t),
                          compact.resolve(tgt.as, tgt.where, t), t);
     }
-    EXPECT_GT(compact.cache_hits() + compact.cache_misses(), 0u);
+    EXPECT_GT(compact.cache_hits(), 0u);
   }
 }
 
@@ -180,8 +181,8 @@ TEST(CompactRib, StoreRoundTripsRibRecordsKeyedLikeCensuses) {
 }
 
 TEST(CompactRib, SparseClientIdsResolveUnreachableOnBothLayouts) {
-  // Regression: the per-client-AS walk caches are dense vectors indexed by
-  // AsId; at 75k-scale (or with external/invalid ids) a client id beyond
+  // Regression: per-AS tables and the walk cache are dense vectors indexed
+  // by AsId; at 75k-scale (or with external/invalid ids) a client id beyond
   // the dense range must resolve as unreachable instead of indexing out of
   // bounds — on the engine layout AND the frozen one.
   const anycast::World& world = shared_world();

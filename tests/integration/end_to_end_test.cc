@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/campaign.h"
 #include "topo/serialize.h"
 #include "support/core_fixture.h"
 
@@ -91,7 +90,8 @@ TEST(Integration, PredictorAgreesWithExplainedSites) {
 }
 
 TEST(Integration, WorldIsFullyDeterministic) {
-  // Two worlds from the same seed must produce byte-identical campaigns.
+  // Two worlds from the same seed must produce identical discovery tables
+  // and bit-identical RTT matrices.
   auto world_a =
       anycast::World::create(anycast::WorldParams::test_scale(1234));
   auto world_b =
@@ -100,9 +100,36 @@ TEST(Integration, WorldIsFullyDeterministic) {
   measure::Orchestrator orch_b(*world_b);
   core::AnyOptPipeline pipe_a(orch_a);
   core::AnyOptPipeline pipe_b(orch_b);
-  core::Campaign a{pipe_a.discover(), pipe_a.measure_rtts()};
-  core::Campaign b{pipe_b.discover(), pipe_b.measure_rtts()};
-  EXPECT_EQ(core::save_campaign(a), core::save_campaign(b));
+
+  const core::DiscoveryResult& a = pipe_a.discover();
+  const core::DiscoveryResult& b = pipe_b.discover();
+  EXPECT_EQ(a.experiments, b.experiments);
+  EXPECT_EQ(a.provider_sites, b.provider_sites);
+  EXPECT_EQ(a.provider_prefs.item_count, b.provider_prefs.item_count);
+  EXPECT_EQ(a.provider_prefs.outcome, b.provider_prefs.outcome);
+  ASSERT_EQ(a.site_prefs.size(), b.site_prefs.size());
+  for (std::size_t p = 0; p < a.site_prefs.size(); ++p) {
+    EXPECT_EQ(a.site_prefs[p].item_count, b.site_prefs[p].item_count)
+        << "provider " << p;
+    EXPECT_EQ(a.site_prefs[p].outcome, b.site_prefs[p].outcome)
+        << "provider " << p;
+  }
+
+  const core::RttMatrix& rtt_a = pipe_a.measure_rtts();
+  const core::RttMatrix& rtt_b = pipe_b.measure_rtts();
+  ASSERT_EQ(rtt_a.site_count(), rtt_b.site_count());
+  ASSERT_EQ(rtt_a.target_count(), rtt_b.target_count());
+  for (std::size_t s = 0; s < rtt_a.site_count(); ++s) {
+    const SiteId site{static_cast<SiteId::underlying_type>(s)};
+    std::vector<double> row_a;
+    std::vector<double> row_b;
+    for (std::uint32_t t = 0; t < rtt_a.target_count(); ++t) {
+      row_a.push_back(rtt_a.rtt(site, TargetId{t}));
+      row_b.push_back(rtt_b.rtt(site, TargetId{t}));
+    }
+    // operator== on doubles deliberately: bit-identical, not "close".
+    EXPECT_EQ(row_a, row_b) << "site " << s;
+  }
 }
 
 TEST(Integration, DifferentSeedsProduceDifferentWorlds) {

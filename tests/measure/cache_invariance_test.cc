@@ -1,18 +1,20 @@
-// Amortization invariance: the forwarding cache in `resolve()` and the
-// SimScratch allocation reuse must not change a single measured bit.  Two
-// worlds built from the same seed — one with every amortization layer
-// enabled (the defaults), one with the cache and scratch reuse forced off —
-// must produce byte-identical censuses, preference tables and explanations
-// across every thread count.
+// Arena invariance: the per-thread simulation arena
+// (`Orchestrator::thread_scratch`) and the frozen RIB's walk cache must not
+// change a single measured bit.  A census taken on a warm arena — after
+// other experiments on the same thread, or inside a campaign runner of 1,
+// 2 or 4 threads — must equal, byte for byte, the same spec measured as
+// the first census of a brand-new thread (a cold arena).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "anycast/world.h"
+#include "bgp/compact.h"
 #include "core/discovery.h"
 #include "measure/campaign_runner.h"
 #include "measure/orchestrator.h"
@@ -22,36 +24,20 @@
 namespace anyopt::measure {
 namespace {
 
-struct AmortizedEnv {
+struct ArenaEnv {
   std::unique_ptr<anycast::World> world;
   std::unique_ptr<Orchestrator> orchestrator;
 };
 
-/// Shared world pair (building a world costs seconds; every test in this
-/// binary compares the same two).  `amortized()` runs with the default
-/// cache + scratch; `baseline()` has both forced off.
-AmortizedEnv& amortized() {
-  static AmortizedEnv env = [] {
-    AmortizedEnv e;
-    e.world = anycast::World::create(anycast::WorldParams::test_scale(21));
-    e.orchestrator = std::make_unique<Orchestrator>(*e.world);
-    return e;
+/// One shared world (building a world costs seconds).
+ArenaEnv& env() {
+  static ArenaEnv e = [] {
+    ArenaEnv out;
+    out.world = anycast::World::create(anycast::WorldParams::test_scale(21));
+    out.orchestrator = std::make_unique<Orchestrator>(*out.world);
+    return out;
   }();
-  return env;
-}
-
-AmortizedEnv& baseline() {
-  static AmortizedEnv env = [] {
-    AmortizedEnv e;
-    anycast::WorldParams params = anycast::WorldParams::test_scale(21);
-    params.sim.resolution_cache = false;
-    e.world = anycast::World::create(params);
-    OrchestratorOptions options;
-    options.reuse_scratch = false;
-    e.orchestrator = std::make_unique<Orchestrator>(*e.world, options);
-    return e;
-  }();
-  return env;
+  return e;
 }
 
 /// Keeps telemetry state from leaking between suites in this binary.
@@ -82,6 +68,25 @@ std::vector<ExperimentSpec> campaign_specs(const anycast::Deployment& depl) {
   return specs;
 }
 
+/// Measures `spec` as the first census of a brand-new thread, whose arena
+/// has never held a simulation.
+Census cold_census(const Orchestrator& orch, const ExperimentSpec& spec) {
+  Census out;
+  std::thread([&] { out = orch.measure(spec.config, spec.nonce); }).join();
+  return out;
+}
+
+/// Runs a few unrelated experiments on the calling thread so its arena
+/// holds recycled buffers from other schedules.
+void warm_this_thread(const Orchestrator& orch) {
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    anycast::AnycastConfig config;
+    config.announce_order = {SiteId{static_cast<SiteId::underlying_type>(k)},
+                             SiteId{7}, SiteId{12}};
+    (void)orch.measure(config, mix64(0x3A3, k));
+  }
+}
+
 void expect_censuses_identical(const std::vector<Census>& a,
                                const std::vector<Census>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -98,34 +103,8 @@ void expect_censuses_identical(const std::vector<Census>& a,
   }
 }
 
-TEST_F(CacheInvarianceTest, CensusesBitIdenticalAcrossThreadCounts) {
-  const auto specs =
-      campaign_specs(baseline().orchestrator->world().deployment());
-  CampaignRunnerOptions off_options;
-  off_options.threads = 1;
-  off_options.reuse_scratch = false;
-  const CampaignRunner reference(*baseline().orchestrator, off_options);
-  const std::vector<Census> want = reference.run(specs);
-
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    CampaignRunnerOptions options;
-    options.threads = threads;
-    const CampaignRunner runner(*amortized().orchestrator, options);
-    const std::vector<Census> got = runner.run(specs);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_censuses_identical(want, got);
-  }
-}
-
-TEST_F(CacheInvarianceTest, DiscoveryTablesBitIdentical) {
-  core::DiscoveryOptions options;
-  options.threads = 2;
-  const core::Discovery cached(*amortized().orchestrator, options);
-  const core::Discovery uncached(*baseline().orchestrator, options);
-
-  const core::DiscoveryResult a = cached.run();
-  const core::DiscoveryResult b = uncached.run();
-
+void expect_tables_identical(const core::DiscoveryResult& a,
+                             const core::DiscoveryResult& b) {
   EXPECT_EQ(a.experiments, b.experiments);
   EXPECT_EQ(a.provider_sites, b.provider_sites);
   EXPECT_EQ(a.provider_prefs.outcome, b.provider_prefs.outcome);
@@ -136,75 +115,96 @@ TEST_F(CacheInvarianceTest, DiscoveryTablesBitIdentical) {
   }
 }
 
-TEST_F(CacheInvarianceTest, ExplainBypassesCacheAndMatchesBaseline) {
-  // explain() must report the ground-truth walk whether the forwarding
-  // cache is cold (first resolve not yet memoized) or warm (every walk
-  // memoized) — and must equal the cache-free world's explanation.
-  const auto& targets = amortized().world->targets();
-  anycast::AnycastConfig config;
-  config.announce_order = {SiteId{0}, SiteId{1}};
-  const auto schedule =
-      config.schedule(amortized().world->deployment());
-  const std::uint64_t nonce = mix64(0xE4, 9);
+TEST_F(CacheInvarianceTest, CensusesBitIdenticalAcrossThreadCounts) {
+  const Orchestrator& orch = *env().orchestrator;
+  const auto specs = campaign_specs(orch.world().deployment());
+  std::vector<Census> want;
+  for (const ExperimentSpec& spec : specs) {
+    want.push_back(cold_census(orch, spec));
+  }
 
-  const bgp::RoutingState cached =
-      amortized().world->simulator().run(schedule, nonce);
-  const bgp::RoutingState plain =
-      baseline().world->simulator().run(schedule, nonce);
-
-  const std::size_t step = std::max<std::size_t>(1, targets.size() / 40);
-  for (std::size_t t = 0; t < targets.size(); t += step) {
-    const anycast::Target& tgt =
-        targets.target(TargetId{static_cast<TargetId::underlying_type>(t)});
-    const std::string cold =
-        cached.explain(tgt.as, tgt.where, t)
-            .to_string(amortized().world->internet());
-    // Warm the cache for this client AS, then explain again.
-    (void)cached.resolve(tgt.as, tgt.where, t);
-    const std::string warm =
-        cached.explain(tgt.as, tgt.where, t)
-            .to_string(amortized().world->internet());
-    const std::string want =
-        plain.explain(tgt.as, tgt.where, t)
-            .to_string(baseline().world->internet());
-    EXPECT_EQ(cold, want) << "target " << t;
-    EXPECT_EQ(warm, want) << "target " << t;
-
-    // The resolved path agrees with the cache-free resolution too.
-    const bgp::ResolvedPath via_cache = cached.resolve(tgt.as, tgt.where, t);
-    const bgp::ResolvedPath via_walk = plain.resolve(tgt.as, tgt.where, t);
-    EXPECT_EQ(via_cache.reachable, via_walk.reachable) << "target " << t;
-    EXPECT_EQ(via_cache.site, via_walk.site) << "target " << t;
-    EXPECT_EQ(via_cache.attachment, via_walk.attachment) << "target " << t;
-    EXPECT_EQ(via_cache.as_path, via_walk.as_path) << "target " << t;
-    ASSERT_EQ(via_cache.one_way_ms, via_walk.one_way_ms) << "target " << t;
+  warm_this_thread(orch);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const CampaignRunner runner(orch, {.threads = threads});
+    expect_censuses_identical(want, runner.run(specs));
   }
 }
 
+TEST_F(CacheInvarianceTest, DiscoveryTablesBitIdentical) {
+  // The same discovery run from a fresh thread, from the warm calling
+  // thread, and over a two-worker pool: no arena history may leak into a
+  // preference table.
+  const Orchestrator& orch = *env().orchestrator;
+  core::DiscoveryOptions serial;
+  serial.threads = 1;
+  core::DiscoveryResult fresh;
+  std::thread([&] { fresh = core::Discovery(orch, serial).run(); }).join();
+
+  warm_this_thread(orch);
+  expect_tables_identical(fresh, core::Discovery(orch, serial).run());
+  core::DiscoveryOptions pooled;
+  pooled.threads = 2;
+  expect_tables_identical(fresh, core::Discovery(orch, pooled).run());
+}
+
+TEST_F(CacheInvarianceTest, ExplainAgreesWithColdAndWarmResolve) {
+  // One converged state, three readings of every sampled target: the
+  // reference walk, its explanation, and the frozen RIB's walk — first
+  // while each client AS's cache slot is cold, then replayed warm.
+  const anycast::World& world = *env().world;
+  const auto& targets = world.targets();
+  anycast::AnycastConfig config;
+  config.announce_order = {SiteId{0}, SiteId{1}};
+  const bgp::RoutingState state = world.simulator().run(
+      config.schedule(world.deployment()), mix64(0xE4, 9));
+  const bgp::CompactState rib =
+      bgp::CompactState::freeze(world.simulator(), state);
+
+  const std::size_t step = std::max<std::size_t>(1, targets.size() / 40);
+  for (const char* pass : {"cold", "warm"}) {
+    SCOPED_TRACE(pass);
+    for (std::size_t t = 0; t < targets.size(); t += step) {
+      const anycast::Target& tgt =
+          targets.target(TargetId{static_cast<TargetId::underlying_type>(t)});
+      const bgp::ResolvedPath want = state.resolve(tgt.as, tgt.where, t);
+      const bgp::Explanation why = state.explain(tgt.as, tgt.where, t);
+      ASSERT_EQ(why.reachable, want.reachable) << "target " << t;
+      if (want.reachable) {
+        EXPECT_EQ(why.site, want.site) << "target " << t;
+        ASSERT_EQ(why.hops.size(), want.as_path.size()) << "target " << t;
+        for (std::size_t h = 0; h < why.hops.size(); ++h) {
+          EXPECT_EQ(why.hops[h].as, want.as_path[h]) << "target " << t;
+        }
+      }
+      const bgp::ResolvedPath got = rib.resolve(tgt.as, tgt.where, t);
+      EXPECT_EQ(got.reachable, want.reachable) << "target " << t;
+      EXPECT_EQ(got.site, want.site) << "target " << t;
+      EXPECT_EQ(got.attachment, want.attachment) << "target " << t;
+      EXPECT_EQ(got.as_path, want.as_path) << "target " << t;
+      ASSERT_EQ(got.one_way_ms, want.one_way_ms) << "target " << t;
+    }
+  }
+  EXPECT_GT(rib.cache_hits(), 0u);
+}
+
 TEST_F(CacheInvarianceTest, AmortizationActuallyEngages) {
-  // Guard against the invariance suite passing vacuously: with telemetry
-  // on, the amortized configuration must record cache hits and scratch
-  // reuse, and the baseline configuration must record neither.
+  // Guard against the suite passing vacuously: the cold reference really
+  // starts from an empty arena, while a serial campaign on one thread
+  // recycles its arena and replays cached walks.
   telemetry::set_enabled(true);
   auto& reg = telemetry::Registry::global();
+  const Orchestrator& orch = *env().orchestrator;
+  const auto specs = campaign_specs(orch.world().deployment());
 
-  const auto specs =
-      campaign_specs(amortized().orchestrator->world().deployment());
-  const CampaignRunner runner(*amortized().orchestrator, {.threads = 1});
-  (void)runner.run(specs);
-
-  EXPECT_GT(reg.counter_value("bgp.resolve.cache_hit"), 0u);
-  EXPECT_GT(reg.counter_value("sim.scratch_reuse"), 0u);
+  (void)cold_census(orch, specs.front());
+  EXPECT_EQ(reg.counter_value("sim.scratch_reuse"), 0u);
 
   reg.reset();
-  CampaignRunnerOptions off_options;
-  off_options.threads = 1;
-  off_options.reuse_scratch = false;
-  const CampaignRunner off_runner(*baseline().orchestrator, off_options);
-  (void)off_runner.run(specs);
-
-  EXPECT_EQ(reg.counter_value("bgp.resolve.cache_hit"), 0u);
-  EXPECT_EQ(reg.counter_value("sim.scratch_reuse"), 0u);
+  const CampaignRunner runner(orch, {.threads = 1});
+  (void)runner.run(specs);
+  EXPECT_GT(reg.counter_value("bgp.resolve.cache_hit"), 0u);
+  EXPECT_GT(reg.counter_value("sim.scratch_reuse"), 0u);
 }
 
 }  // namespace

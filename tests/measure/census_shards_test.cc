@@ -1,14 +1,9 @@
-// Sharded census aggregation (measure/census_shards.h): lazy allocation,
-// eager release, and the merge-order-invariance contract that makes a
-// parallel resolve pass a pure scheduling change.  The concurrency test at
-// the bottom is the tsan target: disjoint-range writers share no shard, so
-// the sanitizer proves the "single-writer per shard" rule is enough.
+// Sharded census aggregation (measure/census_shards.h): lazy allocation
+// and eager release as the probe cursor drains the plane.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
-#include <vector>
 
 #include "bgp/origin.h"
 #include "measure/census_shards.h"
@@ -20,8 +15,8 @@ namespace {
 
 constexpr std::size_t kWidth = CensusShards::kShardWidth;
 
-/// Deterministic per-target record so every writer agrees on what target
-/// `t` holds and reads can be checked without a side table.
+/// Deterministic per-target record, so reads can be checked without a
+/// side table.
 SiteId site_of(std::size_t t) {
   return SiteId{static_cast<SiteId::underlying_type>(mix64(t) % 19)};
 }
@@ -93,173 +88,6 @@ TEST(CensusShards, ReleaseThroughFreesThePrefixAndReadsAsUnwritten) {
   EXPECT_EQ(shards.allocated_shards(), 0u);
   for (std::size_t t = 0; t < 4 * kWidth; t += 97) {
     EXPECT_FALSE(shards.written(t));
-  }
-}
-
-TEST(CensusShards, MergeStealsWholeShardsAndInterleavesWithinShards) {
-  // Two writers: `a` owns even shards plus some entries of shard 1, `b`
-  // owns the rest of shard 1 (entry-level interleave) and shard 3 (whole-
-  // shard steal, since `a` never touched it).
-  CensusShards a(4 * kWidth);
-  CensusShards b(4 * kWidth);
-  for (std::size_t t = 0; t < kWidth; t += 11) write_target(a, t);
-  for (std::size_t t = kWidth; t < 2 * kWidth; t += 2) write_target(a, t);
-  for (std::size_t t = kWidth + 1; t < 2 * kWidth; t += 2) write_target(b, t);
-  for (std::size_t t = 3 * kWidth; t < 4 * kWidth; t += 5) write_target(b, t);
-
-  a.merge(std::move(b));
-  EXPECT_EQ(a.allocated_shards(), 3u);
-  for (std::size_t t = 0; t < kWidth; t += 11) expect_written(a, t);
-  for (std::size_t t = kWidth; t < 2 * kWidth; ++t) expect_written(a, t);
-  for (std::size_t t = 3 * kWidth; t < 4 * kWidth; t += 5) expect_written(a, t);
-  EXPECT_FALSE(a.written(2 * kWidth));  // neither writer touched shard 2
-}
-
-TEST(CensusShards, MergeOrderDoesNotChangeTheCensus) {
-  // Three disjoint writers merged in two different orders must yield a
-  // plane whose every read is identical — the contract that lets a future
-  // parallel resolve pass pick any join order.
-  const std::size_t n = 6 * kWidth;
-  const auto writer = [n](int which) {
-    CensusShards shards(n);
-    for (std::size_t t = static_cast<std::size_t>(which); t < n; t += 3) {
-      if (mix64(t, 0xDECAF) % 4 == 0) continue;  // unreachable holes
-      write_target(shards, t);
-    }
-    return shards;
-  };
-
-  CensusShards forward = writer(0);
-  forward.merge(writer(1));
-  forward.merge(writer(2));
-
-  CensusShards backward = writer(2);
-  backward.merge(writer(1));
-  backward.merge(writer(0));
-
-  ASSERT_EQ(forward.target_count(), backward.target_count());
-  EXPECT_EQ(forward.allocated_shards(), backward.allocated_shards());
-  EXPECT_EQ(forward.retained_bytes(), backward.retained_bytes());
-  for (std::size_t t = 0; t < n; ++t) {
-    ASSERT_EQ(forward.written(t), backward.written(t)) << "target " << t;
-    if (!forward.written(t)) continue;
-    ASSERT_EQ(forward.site(t), backward.site(t)) << "target " << t;
-    ASSERT_EQ(forward.attachment(t), backward.attachment(t)) << "target " << t;
-    ASSERT_EQ(forward.one_way_ms(t), backward.one_way_ms(t)) << "target " << t;
-  }
-}
-
-TEST(CensusShards, ConcurrentDisjointWritersMergeToTheSamePlane) {
-  // The tsan target: resolve workers own disjoint CONTIGUOUS target ranges
-  // (so shard ownership is disjoint except at range boundaries, which lazy
-  // allocation keeps private per plane), write concurrently into their own
-  // planes, and the planes then merge in two different orders.  Under
-  // ThreadSanitizer this proves the aggregation needs no locks; the final
-  // comparison proves scheduling never leaks into census bytes.
-  constexpr std::size_t kWorkers = 4;
-  const std::size_t n = kWorkers * 3 * kWidth + kWidth / 2;
-
-  const auto run_workers = [n]() {
-    std::vector<CensusShards> planes;
-    planes.reserve(kWorkers);
-    for (std::size_t w = 0; w < kWorkers; ++w) planes.emplace_back(n);
-    std::vector<std::thread> threads;
-    threads.reserve(kWorkers);
-    const std::size_t chunk = (n + kWorkers - 1) / kWorkers;
-    for (std::size_t w = 0; w < kWorkers; ++w) {
-      threads.emplace_back([&planes, w, chunk, n] {
-        const std::size_t begin = w * chunk;
-        const std::size_t end = begin + chunk < n ? begin + chunk : n;
-        for (std::size_t t = begin; t < end; ++t) {
-          if (mix64(t, 0xBEEF) % 5 == 0) continue;
-          write_target(planes[w], t);
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    return planes;
-  };
-
-  std::vector<CensusShards> first = run_workers();
-  CensusShards merged_forward = std::move(first[0]);
-  for (std::size_t w = 1; w < kWorkers; ++w) {
-    merged_forward.merge(std::move(first[w]));
-  }
-
-  std::vector<CensusShards> second = run_workers();
-  CensusShards merged_backward = std::move(second[kWorkers - 1]);
-  for (std::size_t w = kWorkers - 1; w-- > 0;) {
-    merged_backward.merge(std::move(second[w]));
-  }
-
-  for (std::size_t t = 0; t < n; ++t) {
-    ASSERT_EQ(merged_forward.written(t), merged_backward.written(t))
-        << "target " << t;
-    if (!merged_forward.written(t)) continue;
-    expect_written(merged_forward, t);
-    ASSERT_EQ(merged_forward.one_way_ms(t), merged_backward.one_way_ms(t))
-        << "target " << t;
-  }
-}
-
-TEST(CensusShards, ConcurrentScatteredWritersInterleaveWithinSharedShards) {
-  // The parallel resolve pass's actual shape: workers take contiguous
-  // chunks of the AS-GROUPED resolve order, so the target ids one worker
-  // writes are scattered across the whole id space and every shard is
-  // touched by several planes — entry-disjointly.  Writers stay lock-free
-  // (each plane is private until the merge) and the merge's entry-level
-  // interleave path must reassemble the exact serial plane regardless of
-  // join order.
-  constexpr std::size_t kWorkers = 4;
-  const std::size_t n = 3 * kWidth + kWidth / 4;
-
-  const auto member = [](std::size_t t) {
-    return mix64(t, 0x5CA7) % 6 != 0;  // unreachable holes
-  };
-  const auto owner = [](std::size_t t) {
-    return static_cast<std::size_t>(mix64(t, 0x0D1) % kWorkers);
-  };
-
-  const auto run_workers = [&]() {
-    std::vector<CensusShards> planes;
-    planes.reserve(kWorkers);
-    for (std::size_t w = 0; w < kWorkers; ++w) planes.emplace_back(n);
-    std::vector<std::thread> threads;
-    threads.reserve(kWorkers);
-    for (std::size_t w = 0; w < kWorkers; ++w) {
-      threads.emplace_back([&planes, &member, &owner, w, n] {
-        for (std::size_t t = 0; t < n; ++t) {
-          if (owner(t) != w || !member(t)) continue;
-          write_target(planes[w], t);
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    return planes;
-  };
-
-  // The serial reference: one plane, one writer, same membership.
-  CensusShards serial(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    if (member(t)) write_target(serial, t);
-  }
-
-  std::vector<CensusShards> first = run_workers();
-  CensusShards forward = std::move(first[0]);
-  for (std::size_t w = 1; w < kWorkers; ++w) forward.merge(std::move(first[w]));
-
-  std::vector<CensusShards> second = run_workers();
-  CensusShards backward = std::move(second[kWorkers - 1]);
-  for (std::size_t w = kWorkers - 1; w-- > 0;) {
-    backward.merge(std::move(second[w]));
-  }
-
-  for (std::size_t t = 0; t < n; ++t) {
-    ASSERT_EQ(serial.written(t), forward.written(t)) << "target " << t;
-    ASSERT_EQ(serial.written(t), backward.written(t)) << "target " << t;
-    if (!serial.written(t)) continue;
-    expect_written(forward, t);
-    expect_written(backward, t);
   }
 }
 

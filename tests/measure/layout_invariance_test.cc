@@ -1,48 +1,44 @@
-// Layout invariance: the structure-of-arrays resolve path (the frozen
-// `bgp::CompactState` the measurement plane uses at Internet scale) must
-// not change a single measured bit relative to the engine's
-// array-of-structs layout.  Censuses, discovery preference tables and
-// serve-layer query responses are compared byte for byte with
-// `compact_resolve` flipped — the end-to-end enforcement of the
-// "bit-identical by construction" claim in bgp/walk.h.
+// Layout invariance: every census resolves against the frozen
+// structure-of-arrays RIB (`bgp::CompactState`) through its walk cache,
+// and the engine layout's plain walk (`bgp::RoutingState::resolve`) over
+// the same converged state is the reference.  The suite's orchestrator
+// probes a lossless, noise-free channel, so every target the reference
+// walk reaches must be measured with the reference's site, attachment and
+// round-trip latency, and every target it finds unreachable must stay
+// unmeasured.  Classic, overlay and overlay-pair censuses are checked.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "anycast/world.h"
-#include "core/discovery.h"
 #include "measure/orchestrator.h"
 #include "netbase/rng.h"
 #include "netbase/telemetry.h"
-#include "netbase/thread_pool.h"
-#include "serve/protocol.h"
-#include "serve/service.h"
-#include "serve/snapshot.h"
 
 namespace anyopt::measure {
 namespace {
 
 struct LayoutEnv {
   std::unique_ptr<anycast::World> world;
-  std::unique_ptr<Orchestrator> compact;  ///< SoA resolve (the default)
-  std::unique_ptr<Orchestrator> classic;  ///< engine-layout resolve
+  std::unique_ptr<Orchestrator> orchestrator;
 };
 
-/// One shared world, two orchestrators that differ ONLY in the RIB layout
-/// the resolve pass reads.
 LayoutEnv& env() {
   static LayoutEnv e = [] {
     LayoutEnv out;
     out.world = anycast::World::create(anycast::WorldParams::test_scale(23));
-    OrchestratorOptions compact_options;
-    compact_options.compact_resolve = true;
-    out.compact = std::make_unique<Orchestrator>(*out.world, compact_options);
-    OrchestratorOptions classic_options;
-    classic_options.compact_resolve = false;
-    out.classic = std::make_unique<Orchestrator>(*out.world, classic_options);
+    // No probe is lost and none is perturbed: a reachable target always
+    // yields a measurement, and its RTT is the walk's round trip.
+    OrchestratorOptions options;
+    options.probe.loss_rate = 0.0;
+    options.probe.jitter_frac = 0.0;
+    options.probe.jitter_floor_ms = 0.0;
+    options.probe.spike_prob = 0.0;
+    out.orchestrator = std::make_unique<Orchestrator>(*out.world, options);
     return out;
   }();
   return e;
@@ -60,18 +56,40 @@ class LayoutInvarianceTest : public ::testing::Test {
   }
 };
 
-void expect_census_identical(const Census& a, const Census& b) {
-  EXPECT_EQ(a.site_of_target, b.site_of_target);
-  EXPECT_EQ(a.attachment_of_target, b.attachment_of_target);
-  ASSERT_EQ(a.rtt_ms.size(), b.rtt_ms.size());
-  for (std::size_t t = 0; t < a.rtt_ms.size(); ++t) {
-    // operator== on doubles deliberately: bit-identical, not "close".
-    ASSERT_EQ(a.rtt_ms[t], b.rtt_ms[t]) << "target " << t;
+/// Checks `census` against the reference walk over `reference`, the
+/// engine-layout state the census's own convergence produced.
+void expect_census_matches_reference(const Census& census,
+                                     const bgp::RoutingState& reference) {
+  const auto& targets = env().world->targets();
+  ASSERT_EQ(census.site_of_target.size(), targets.size());
+  std::size_t reachable = 0;
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const anycast::Target& tgt =
+        targets.target(TargetId{static_cast<TargetId::underlying_type>(t)});
+    const bgp::ResolvedPath want = reference.resolve(tgt.as, tgt.where, t);
+    if (!want.reachable) {
+      EXPECT_FALSE(census.site_of_target[t].valid()) << "target " << t;
+      EXPECT_EQ(census.attachment_of_target[t], bgp::kNoAttachment)
+          << "target " << t;
+      EXPECT_LT(census.rtt_ms[t], 0.0) << "target " << t;
+      continue;
+    }
+    ++reachable;
+    EXPECT_EQ(census.site_of_target[t], want.site) << "target " << t;
+    EXPECT_EQ(census.attachment_of_target[t], want.attachment)
+        << "target " << t;
+    // The tunnel RTT is added before probing and subtracted after, so the
+    // estimate equals the round trip up to rounding (floored at 0.05 ms).
+    EXPECT_NEAR(census.rtt_ms[t], std::max(0.05, 2.0 * want.one_way_ms), 1e-9)
+        << "target " << t;
   }
+  EXPECT_GT(reachable, 0u);
+  EXPECT_EQ(census.reachable_count(), reachable);
 }
 
-TEST_F(LayoutInvarianceTest, CensusesBitIdenticalAcrossRandomConfigs) {
-  const std::size_t sites = env().world->deployment().site_count();
+TEST_F(LayoutInvarianceTest, CensusesMatchReferenceWalkAcrossRandomConfigs) {
+  const anycast::World& world = *env().world;
+  const std::size_t sites = world.deployment().site_count();
   Rng rng{0x50A};
   for (std::uint64_t round = 0; round < 6; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
@@ -85,114 +103,66 @@ TEST_F(LayoutInvarianceTest, CensusesBitIdenticalAcrossRandomConfigs) {
           SiteId{static_cast<SiteId::underlying_type>(ids[s])});
     }
     const std::uint64_t nonce = mix64(0x1A40, round);
-    expect_census_identical(env().compact->measure(config, nonce),
-                            env().classic->measure(config, nonce));
+    const bgp::RoutingState reference =
+        world.simulator().run(config.schedule(world.deployment()), nonce);
+    expect_census_matches_reference(env().orchestrator->measure(config, nonce),
+                                    reference);
   }
 }
 
-TEST_F(LayoutInvarianceTest, DiscoveryTablesBitIdentical) {
-  core::DiscoveryOptions options;
-  options.threads = 2;
-  const core::Discovery via_compact(*env().compact, options);
-  const core::Discovery via_classic(*env().classic, options);
+TEST_F(LayoutInvarianceTest, OverlayCensusesMatchReferenceWalk) {
+  // Overlay states freeze through the copy-on-write view: untouched ASes
+  // read the shared base's pages, written ones their private copies.
+  const anycast::World& world = *env().world;
+  const Orchestrator& orch = *env().orchestrator;
+  const auto& depl = world.deployment();
+  const auto& sim = world.simulator();
+  anycast::AnycastConfig base_cfg;
+  base_cfg.announce_order = {SiteId{0}};
+  const bgp::BaseState base = orch.converge_base(base_cfg, mix64(0xBA5E, 0));
 
-  const core::DiscoveryResult a = via_compact.run();
-  const core::DiscoveryResult b = via_classic.run();
+  for (const SiteId second : {SiteId{3}, SiteId{9}}) {
+    SCOPED_TRACE("second site " + std::to_string(second.value()));
+    const std::vector<bgp::Injection> delta{
+        {base_cfg.spacing_s, depl.transit_attachment(second), false}};
+    const std::vector<bgp::AttachmentIndex> reage{
+        depl.transit_attachment(SiteId{0})};
+    anycast::AnycastConfig config0;
+    config0.announce_order = {SiteId{0}, second};
+    anycast::AnycastConfig config1;
+    config1.announce_order = {second, SiteId{0}};
+    const std::uint64_t nonce0 = mix64(0x0E, second.value());
+    const std::uint64_t nonce1 = nonce0 ^ 1;
 
-  EXPECT_EQ(a.experiments, b.experiments);
-  EXPECT_EQ(a.provider_sites, b.provider_sites);
-  EXPECT_EQ(a.provider_prefs.outcome, b.provider_prefs.outcome);
-  ASSERT_EQ(a.site_prefs.size(), b.site_prefs.size());
-  for (std::size_t p = 0; p < a.site_prefs.size(); ++p) {
-    EXPECT_EQ(a.site_prefs[p].outcome, b.site_prefs[p].outcome)
-        << "provider " << p;
-  }
-}
+    const bgp::RoutingState single = sim.run_overlay(base, delta, nonce0);
+    expect_census_matches_reference(
+        orch.measure_overlay(base, config0, delta, nonce0, {}), single);
 
-TEST_F(LayoutInvarianceTest, ServeResponsesBitIdentical) {
-  // The serve layer exposes the same flip (SnapshotOptions::compact_resolve);
-  // two snapshots built over the two layouts must answer every query with
-  // the exact same bytes.  `Service::execute` is the pure request core, so
-  // the comparison sees no socket or threading noise.
-  serve::SnapshotOptions options;
-  options.test_scale = true;
-  options.seed = 23;
-  options.compact_resolve = true;
-  Result<std::shared_ptr<serve::Snapshot>> compact =
-      serve::Snapshot::build(options);
-  ASSERT_TRUE(compact.ok()) << compact.error().message;
-  options.compact_resolve = false;
-  Result<std::shared_ptr<serve::Snapshot>> classic =
-      serve::Snapshot::build(options);
-  ASSERT_TRUE(classic.ok()) << classic.error().message;
-
-  const std::vector<std::string> requests = {
-      R"({"op":"info"})",
-      R"({"op":"predict","sites":[0,1]})",
-      R"({"op":"predict","sites":[2,0,1],"clients":[0,5,17],"detail":true})",
-      R"({"op":"score","sites":[1,2]})",
-      R"({"op":"score","sites":[0]})",
-  };
-  for (const std::string& line : requests) {
-    Result<serve::Request> request = serve::parse_request(line);
-    ASSERT_TRUE(request.ok()) << line;
-    EXPECT_EQ(serve::Service::execute(*compact.value(), request.value()),
-              serve::Service::execute(*classic.value(), request.value()))
-        << line;
-  }
-}
-
-TEST_F(LayoutInvarianceTest, ParallelResolveBitIdenticalToSerial) {
-  // The resolve_pool knob is a pure scheduling change: censuses AND the
-  // frozen RIB's cache hit/miss tallies must be bit-identical to the
-  // serial pass at any pool size.  (Chunk boundaries never split a
-  // client-AS run, so the per-AS miss-then-replay pattern is preserved
-  // exactly; the planes merge order-invariantly.)
-  telemetry::set_enabled(true);
-  auto& reg = telemetry::Registry::global();
-
-  anycast::AnycastConfig config;
-  config.announce_order = {SiteId{0}, SiteId{2}, SiteId{4}, SiteId{7}};
-  const std::uint64_t nonce = 0x9A7A11E1;
-
-  const Census serial = env().compact->measure(config, nonce);
-  const std::uint64_t serial_hits = reg.counter_value("bgp.resolve.cache_hit");
-  const std::uint64_t serial_misses =
-      reg.counter_value("bgp.resolve.cache_miss");
-  EXPECT_GT(serial_hits + serial_misses, 0u);
-
-  for (const std::size_t workers : {2u, 5u}) {
-    SCOPED_TRACE("pool size " + std::to_string(workers));
-    ThreadPool pool(workers);
-    OrchestratorOptions options;
-    options.compact_resolve = true;
-    options.resolve_pool = &pool;
-    const Orchestrator parallel(*env().world, options);
-    reg.reset();
-    const Census census = parallel.measure(config, nonce);
-    expect_census_identical(serial, census);
-    EXPECT_EQ(reg.counter_value("bgp.resolve.cache_hit"), serial_hits);
-    EXPECT_EQ(reg.counter_value("bgp.resolve.cache_miss"), serial_misses);
+    bgp::RoutingState leg0 =
+        sim.run_overlay(base, delta, nonce0, nullptr, {}, true);
+    const Orchestrator::OverlayPairCensus pair = orch.measure_overlay_pair(
+        base, config0, config1, delta, reage, nonce0, nonce1,
+        &Orchestrator::thread_scratch(), {}, {});
+    expect_census_matches_reference(pair.leg0, leg0);
+    const bgp::RoutingState leg1 =
+        sim.resume_overlay(std::move(leg0), {}, nonce1, nullptr, reage);
+    expect_census_matches_reference(pair.leg1, leg1);
   }
 }
 
 TEST_F(LayoutInvarianceTest, CompactPathActuallyEngages) {
-  // Guard against the suite passing vacuously: with telemetry on, the
-  // compact orchestrator must freeze a RIB (bytes.rib high-water > 0) and
-  // stream its aggregation through shards, while the classic orchestrator
-  // must touch neither.
+  // Guard against the suite passing vacuously: with telemetry on, a census
+  // must freeze a RIB (bytes.rib high-water > 0), stream its aggregation
+  // through shards, and replay cached walks.
   telemetry::set_enabled(true);
   auto& reg = telemetry::Registry::global();
 
   anycast::AnycastConfig config;
   config.announce_order = {SiteId{0}, SiteId{1}};
-  (void)env().compact->measure(config, 0xE6A6E);
+  (void)env().orchestrator->measure(config, 0xE6A6E);
   EXPECT_GT(reg.gauge_max("bytes.rib"), 0);
   EXPECT_GT(reg.gauge_max("bytes.census_shards"), 0);
-
-  reg.reset();
-  (void)env().classic->measure(config, 0xE6A6E);
-  EXPECT_EQ(reg.gauge_max("bytes.rib"), 0);
+  EXPECT_GT(reg.counter_value("bgp.resolve.cache_hit"), 0u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Per-worker SimScratch arenas under concurrency.  Each pool worker owns
-// exactly one recycled-allocation arena and the orchestrator's fallback
-// scratch is thread-local, so a pooled campaign with scratch reuse enabled
-// must be data-race-free — this suite is labelled `tsan` and runs under
+// Per-thread SimScratch arenas under concurrency.  Every thread — pool
+// workers included — owns exactly one recycled-allocation arena
+// (`Orchestrator::thread_scratch`), so a pooled campaign must be
+// data-race-free — this suite is labelled `tsan` and runs under
 // ThreadSanitizer (-DANYOPT_SANITIZE=thread) to prove it — and must still
-// produce bit-identical results to the serial, reuse-free path.
+// produce the census each spec gives as the first census of a brand-new
+// thread, where no arena reuse can happen.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "anycast/world.h"
@@ -42,11 +44,13 @@ TEST(ScratchConcurrency, PooledScratchReuseMatchesSerialNoReuse) {
   const Orchestrator orchestrator(shared_world());
   const auto specs = specs_for(shared_world().deployment(), 16);
 
-  CampaignRunnerOptions serial_options;
-  serial_options.threads = 1;
-  serial_options.reuse_scratch = false;
-  const CampaignRunner serial(orchestrator, serial_options);
-  const std::vector<Census> want = serial.run(specs);
+  // The reference: each spec measured serially, alone on a fresh thread.
+  std::vector<Census> want(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    std::thread([&] {
+      want[i] = orchestrator.measure(specs[i].config, specs[i].nonce);
+    }).join();
+  }
 
   CampaignRunnerOptions pooled_options;
   pooled_options.threads = 4;
@@ -74,8 +78,8 @@ TEST(ScratchConcurrency, PooledScratchReuseMatchesSerialNoReuse) {
 
 TEST(ScratchConcurrency, ConcurrentRunnersDoNotShareScratch) {
   // Two pooled runners over the same orchestrator, run back to back: each
-  // pool's workers index only their own runner's arenas, and the
-  // orchestrator's thread-local fallback keeps non-worker callers apart.
+  // pool's workers are their own threads and so use only their own
+  // arenas.
   const Orchestrator orchestrator(shared_world());
   const auto specs = specs_for(shared_world().deployment(), 8);
 
